@@ -28,21 +28,12 @@
 //!     --quick --jobs 4 --out fresh.json --check BENCH_PR9.json
 //! ```
 //!
-//! With `--check BASELINE`, the fresh summary is compared against the
-//! committed baseline (v8, or an older v3–v7 whose sections are
-//! compared as far as they go — the skew note names every fresh section
-//! the old baseline cannot gate): any objective mismatch (`cross_mass`,
-//! `nnz`, the online/replication cross counts, the serving latency
-//! quantiles, the elasticity recovery facts, the re-plan cost counters),
-//! a fresh serving row whose adaptive p99 is worse than the static
-//! incumbent's, a fresh elasticity row whose replicated fleet does not
-//! recover strictly faster, an incremental re-plan whose cross mass
-//! diverges from the rebuild's, an `E = 512` cell below the 5x
-//! scan-reduction bar, a partial-replication row where the subset policy
-//! loses to the full fan-out at equal memory, or a sweep where no top-2
-//! CC row placed a replica is a hard failure;
-//! wall-time regressions beyond 25% are reported as warnings in the
-//! markdown printed to stdout (CI appends it to the job summary).
+//! With `--check BASELINE`, `exflow_bench::gate::compare` checks the
+//! fresh summary against the committed v8 baseline: a bit-compared fact
+//! that moved, a missing or extra row, a section missing from the
+//! baseline, or a broken acceptance bar is a hard failure; wall-time
+//! regressions beyond 25% are reported as warnings in the markdown
+//! printed to stdout (CI appends it to the job summary).
 //!
 //! Exit codes: 0 on success, 1 if a verification/gate check fails or the
 //! output cannot be written, 2 on usage errors (consistent with `repro`).
@@ -234,7 +225,7 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        let report = gate::compare(&baseline, &json);
+        let report = gate::compare(&baseline, &summary);
         // Markdown on stdout: CI pipes it into the job summary.
         print!("{}", report.to_markdown());
         if !report.ok() {

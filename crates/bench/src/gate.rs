@@ -1,17 +1,24 @@
-//! The CI perf-gate: compare a fresh `BENCH_*.json` against the committed
-//! baseline.
+//! The CI perf-gate: compare a fresh [`BenchSummary`] against the
+//! committed baseline `BENCH_*.json`.
 //!
-//! Objectives (`cross_mass`, `nnz`) are deterministic facts — they are
-//! printed with shortest round-trip formatting, so *string* inequality in
-//! the JSON is *bit* inequality of the value, and any mismatch is a hard
-//! failure (the baseline must be regenerated deliberately, never drift
-//! silently). Wall-clock numbers are machine-dependent measurements:
-//! regressions beyond [`WALL_REGRESSION_WARN`] only produce warnings for
-//! the job summary, because CI runners are noisy.
+//! Every summary field declares its gate role once, next to its value:
+//! `Key` fields match baseline rows to fresh ones; `Bit` fields are
+//! deterministic facts printed so that *string* inequality is *bit*
+//! inequality of the value, and any mismatch is a hard failure (the
+//! baseline must be regenerated deliberately, never drift silently);
+//! `Wall` fields are machine-dependent measurements whose regressions
+//! beyond [`WALL_REGRESSION_WARN`] only warn, because CI runners are
+//! noisy. Every section the fresh run declares must be in the baseline.
+//! The acceptance bars are checked on the fresh run's typed rows.
 //!
-//! The parser is deliberately minimal: it reads exactly the line-oriented
-//! JSON this workspace emits (`BenchSummary::to_json`), not arbitrary
-//! JSON — the workspace builds offline and carries no serde.
+//! The baseline is read line by line with the workspace's flat-object
+//! reader ([`exflow_core::flat_json`]): it reads exactly the document
+//! `BenchSummary::to_json` emits, not arbitrary JSON — the workspace
+//! builds offline and carries no serde.
+
+use exflow_core::flat_json::split_flat_object;
+
+use crate::summary::{BenchSummary, ElasticityRow, Field, PartialReplicationRow, Role, SCHEMA};
 
 /// Fractional wall-clock regression beyond which a warning is emitted
 /// (fresh > 1.25x baseline).
@@ -38,50 +45,23 @@ pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 /// holds on 1-core runners too.
 pub const MIN_REPLAN_SCAN_REDUCTION_512: f64 = 5.0;
 
-/// Every array section of the current (`v8`) schema, oldest first, with
-/// the schema version that introduced it. A baseline at version `v`
-/// lacks exactly the sections introduced after `v` — the gate skips
-/// bit-comparing those and *names* them in the skew note, so a reader
-/// can see precisely which row families ride ungated until the baseline
-/// is regenerated.
-const SECTION_INTRODUCED: &[(&str, u32)] = &[
-    ("rows", 1),
-    ("sparse_rows", 2),
-    ("online_rows", 3),
-    ("replication_online_rows", 4),
-    ("serving_rows", 5),
-    ("elasticity_rows", 6),
-    ("replan_latency_rows", 7),
-    ("partial_replication_rows", 8),
-];
-
 /// Outcome of a baseline comparison.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
-    /// Hard failures: objective drift, schema/coverage mismatches, a
-    /// sparse backend slower than its acceptance bar.
+    /// Hard failures: objective drift, schema/coverage mismatches, broken
+    /// acceptance bars.
     pub drifts: Vec<String>,
     /// Soft findings: wall-clock regressions beyond the noise allowance.
     pub warnings: Vec<String>,
-    /// Informational notes: accepted schema-version skew between the
-    /// baseline and fresh documents. Distinct from the metric warnings —
-    /// skew is *expected* right after a schema bump (the older baseline
-    /// simply lacks the newer sections, so they are not gated) and clears
-    /// once the committed baseline is regenerated, whereas a wall-time
-    /// warning means a measured value actually moved.
-    pub notes: Vec<String>,
 }
 
 impl GateReport {
-    /// Whether the gate passes (warnings and notes allowed, drifts not).
+    /// Whether the gate passes (warnings allowed, drifts not).
     pub fn ok(&self) -> bool {
         self.drifts.is_empty()
     }
 
-    /// Render as markdown for the CI job summary. The two soft classes
-    /// are labeled separately so a reader can tell schema-version skew
-    /// (fix: regenerate the baseline) from wall-time drift (fix: check
-    /// the runner or the code) at a glance.
+    /// Render as markdown for the CI job summary.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         if self.ok() {
@@ -91,13 +71,6 @@ impl GateReport {
             for d in &self.drifts {
                 out.push_str(&format!("- :x: {d}\n"));
             }
-        }
-        if !self.notes.is_empty() {
-            out.push_str("#### Schema-version skew (informational)\n\n");
-            for n in &self.notes {
-                out.push_str(&format!("- :information_source: {n}\n"));
-            }
-            out.push('\n');
         }
         if self.warnings.is_empty() {
             out.push_str("No wall-time regressions beyond the noise allowance.\n");
@@ -111,42 +84,50 @@ impl GateReport {
     }
 }
 
-/// Extract the value of `"key": <value>` from one JSON object line
-/// (string values lose their quotes).
-fn field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| {
-            if rest[..i].matches('"').count() % 2 == 1 {
-                false // inside a string value
-            } else {
-                c == ',' || c == '}'
+/// One row (or the header) of the baseline: `(key, raw printed token)`.
+type RawRow = Vec<(String, String)>;
+
+/// The raw token of `name` in a baseline row.
+fn raw<'a>(row: &'a RawRow, name: &str) -> Option<&'a str> {
+    row.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+}
+
+/// A baseline document: its header fields and each array section's rows,
+/// in file order.
+#[derive(Default)]
+struct Baseline {
+    header: RawRow,
+    sections: Vec<(String, Vec<RawRow>)>,
+}
+
+impl Baseline {
+    /// Read the line-oriented document `BenchSummary::to_json` emits:
+    /// header fields one per line, each row one object per line.
+    fn parse(json: &str) -> Result<Baseline, String> {
+        let mut doc = Baseline::default();
+        let mut open: Option<(String, Vec<RawRow>)> = None;
+        for line in json.lines().map(str::trim) {
+            let item = line.strip_suffix(',').unwrap_or(line);
+            if let Some((name, rows)) = &mut open {
+                if item == "]" {
+                    doc.sections
+                        .push((std::mem::take(name), std::mem::take(rows)));
+                    open = None;
+                } else {
+                    rows.push(split_flat_object(item)?);
+                }
+            } else if let Some(name) = line.strip_suffix(": [") {
+                open = Some((name.trim_matches('"').to_string(), Vec::new()));
+            } else if !matches!(line, "" | "{" | "}") {
+                doc.header
+                    .extend(split_flat_object(&format!("{{{item}}}"))?);
             }
-        })
-        .map(|(i, _)| i)
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"').to_string())
-}
-
-/// The object lines of one `"key": [ ... ]` array section.
-fn rows_section<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
-    let pat = format!("\"{key}\": [");
-    let Some(start) = json.find(&pat) else {
-        return Vec::new();
-    };
-    json[start + pat.len()..]
-        .lines()
-        .map(str::trim)
-        .take_while(|l| !l.starts_with(']'))
-        .filter(|l| l.starts_with('{'))
-        .collect()
-}
-
-fn parse_ms(value: Option<String>) -> Option<f64> {
-    value.and_then(|v| v.parse().ok())
+        }
+        match open {
+            Some((name, _)) => Err(format!("section {name} is never closed")),
+            None => Ok(doc),
+        }
+    }
 }
 
 fn warn_wall(warnings: &mut Vec<String>, what: &str, base: Option<f64>, fresh: Option<f64>) {
@@ -160,1702 +141,575 @@ fn warn_wall(warnings: &mut Vec<String>, what: &str, base: Option<f64>, fresh: O
     }
 }
 
-/// Compare a fresh summary JSON against the committed baseline JSON.
-/// The fresh document must be `exflow-bench-summary/v8`; the baseline may
-/// be v8 or the older v3 through v7 (whose sections are compared as far
-/// as they go — a v3 baseline simply has no `replication_online_rows`,
-/// `serving_rows`, `elasticity_rows`, `replan_latency_rows`, or
-/// `partial_replication_rows` to gate against, and so on up the
-/// versions; the skew is surfaced as an informational note that *names*
-/// the absent row families).
-pub fn compare(baseline: &str, fresh: &str) -> GateReport {
-    let mut report = GateReport::default();
+/// The printed tokens of a fresh row's `Key` fields.
+fn key_of(row: &[Field]) -> Vec<String> {
+    row.iter()
+        .filter(|(_, _, role)| *role == Role::Key)
+        .map(|(_, value, _)| value.to_string())
+        .collect()
+}
 
-    let get_schema = |json: &str| {
-        json.lines()
-            .find(|l| l.trim_start().starts_with("\"schema\""))
-            .and_then(|l| field(l, "schema"))
+/// Match one section's rows on their `Key` fields, bit-compare the `Bit`
+/// fields and warn on `Wall` regressions.
+fn compare_rows(report: &mut GateReport, section: &str, base: &[RawRow], fresh: &[Vec<Field>]) {
+    let Some(first) = fresh.first() else {
+        if !base.is_empty() {
+            report.drifts.push(format!(
+                "{section}: {} baseline row(s), none in the fresh run",
+                base.len()
+            ));
+        }
+        return;
     };
-    if get_schema(fresh).as_deref() != Some("exflow-bench-summary/v8") {
-        report.drifts.push(
-            "schema mismatch: the fresh document must be exflow-bench-summary/v8".to_string(),
-        );
-        return report;
+    let key_names: Vec<&str> = first
+        .iter()
+        .filter(|(_, _, role)| *role == Role::Key)
+        .map(|(name, _, _)| *name)
+        .collect();
+    let base_key = |row: &RawRow| -> Vec<String> {
+        key_names
+            .iter()
+            .map(|name| raw(row, name).unwrap_or_default().to_string())
+            .collect()
+    };
+    let label = |key: &[String]| -> String {
+        let parts: Vec<&str> = key.iter().map(|k| k.trim_matches('"')).collect();
+        if parts.is_empty() {
+            section.to_string()
+        } else {
+            format!("{section}/{}", parts.join("/"))
+        }
+    };
+    for row in fresh {
+        let key = key_of(row);
+        let at = label(&key);
+        let Some(b) = base.iter().find(|b| base_key(b) == key) else {
+            report.drifts.push(format!(
+                "{at} not in baseline (regenerate the committed JSON)"
+            ));
+            continue;
+        };
+        for (name, value, role) in row {
+            let (old, new) = (raw(b, name), value.to_string());
+            match role {
+                Role::Bit if old != Some(new.as_str()) => report.drifts.push(format!(
+                    "{name} drift on {at}: baseline {} vs fresh {new}",
+                    old.unwrap_or("<absent>")
+                )),
+                Role::Wall => warn_wall(
+                    &mut report.warnings,
+                    &format!("{at} {name}"),
+                    old.and_then(|v| v.parse().ok()),
+                    new.parse().ok(),
+                ),
+                _ => {}
+            }
+        }
     }
-    let baseline_schema = get_schema(baseline);
-    let baseline_version = match baseline_schema.as_deref() {
-        Some("exflow-bench-summary/v3") => 3u32,
-        Some("exflow-bench-summary/v4") => 4,
-        Some("exflow-bench-summary/v5") => 5,
-        Some("exflow-bench-summary/v6") => 6,
-        Some("exflow-bench-summary/v7") => 7,
-        Some("exflow-bench-summary/v8") => 8,
-        _ => {
-            report.drifts.push(
-                "schema mismatch: the baseline must be exflow-bench-summary/v3 through /v8 \
-                 (regenerate the committed baseline with bench_summary)"
-                    .to_string(),
-            );
+    for b in base {
+        let key = base_key(b);
+        if !fresh.iter().any(|row| key_of(row) == key) {
+            report
+                .drifts
+                .push(format!("{} missing from fresh run", label(&key)));
+        }
+    }
+}
+
+/// One acceptance bar: a named property every fresh run must hold, and a
+/// description of each violation (empty when the bar holds). Bars read
+/// the typed rows through the row methods that define each figure, never
+/// values re-parsed from the rounded JSON.
+type Bar = (&'static str, fn(&BenchSummary) -> Vec<String>);
+
+/// Describe every row for which `holds` is false.
+fn failing<R>(rows: &[R], holds: fn(&R) -> bool, describe: fn(&R) -> String) -> Vec<String> {
+    rows.iter().filter(|r| !holds(r)).map(describe).collect()
+}
+
+/// A sweep-wide fact as a violation list: empty when it holds.
+fn unless(holds: bool, violation: &str) -> Vec<String> {
+    if holds {
+        Vec::new()
+    } else {
+        vec![violation.to_string()]
+    }
+}
+
+/// Whether `bytes` fit `replans` re-plans of `budget` bytes each.
+fn within_budget(bytes: u64, budget: u64, replans: usize) -> bool {
+    bytes <= budget.saturating_mul(replans as u64)
+}
+
+/// Every acceptance bar, checked on the fresh run regardless of the
+/// baseline. The sparse speedup and the re-plan scan reduction are
+/// algorithmic operation-count contrasts, not thread-parallel timings, so
+/// they hold on 1-core runners too.
+const BARS: &[Bar] = &[
+    ("sparse backend speedup at E=512 top-1", |s| {
+        failing(
+            &s.sparse_rows,
+            |r| r.n_experts != 512 || r.k != 1 || r.speedup() >= MIN_SPARSE_SPEEDUP_512,
+            |r| {
+                format!(
+                    "{}: {:.2}x < {MIN_SPARSE_SPEEDUP_512}x",
+                    r.preset,
+                    r.speedup()
+                )
+            },
+        )
+    }),
+    ("online recovery", |s| {
+        failing(
+            &s.online_rows,
+            |r| r.recovery() >= MIN_ONLINE_RECOVERY,
+            |r| {
+                format!(
+                    "{}: {:.4} < {MIN_ONLINE_RECOVERY}",
+                    r.scenario,
+                    r.recovery()
+                )
+            },
+        )
+    }),
+    ("online migration budget", |s| {
+        failing(
+            &s.online_rows,
+            |r| within_budget(r.migrated_bytes, r.budget_bytes, r.replans),
+            |r| format!("{}: {} bytes", r.scenario, r.migrated_bytes),
+        )
+    }),
+    ("replication memory budget", |s| {
+        failing(
+            &s.replication_online_rows,
+            |r| r.extra_copies <= r.replica_slots,
+            |r| format!("{}: {} extra copies", r.scenario, r.extra_copies),
+        )
+    }),
+    ("replication migration budget", |s| {
+        failing(
+            &s.replication_online_rows,
+            |r| {
+                within_budget(r.owner_migrated_bytes, r.budget_bytes, r.owner_replans)
+                    && within_budget(r.joint_migrated_bytes, r.budget_bytes, r.joint_replans)
+            },
+            |r| r.scenario.clone(),
+        )
+    }),
+    ("joint policy never loses to owner moves", |s| {
+        failing(
+            &s.replication_online_rows,
+            |r| r.joint_cross <= r.owner_cross,
+            |r| format!("{}: {} vs {}", r.scenario, r.joint_cross, r.owner_cross),
+        )
+    }),
+    ("joint policy beats owner moves somewhere", |s| {
+        let rows = &s.replication_online_rows;
+        let wins = rows.iter().any(|r| r.joint_cross < r.owner_cross);
+        unless(
+            rows.is_empty() || wins,
+            "the replica memory budget bought nothing",
+        )
+    }),
+    // Adaptive policies pay for re-placements with real migration stalls
+    // and must still never worsen the tail.
+    ("serving p99 never above static", |s| {
+        failing(
+            &s.serving_rows,
+            |r| r.online_p99 <= r.static_p99 && r.repl_p99 <= r.static_p99,
+            |r| r.arrival.clone(),
+        )
+    }),
+    ("serving goodput within offered load", |s| {
+        failing(
+            &s.serving_rows,
+            |r| {
+                [r.static_goodput, r.online_goodput, r.repl_goodput]
+                    .iter()
+                    .all(|&g| g <= r.offered_load)
+            },
+            |r| r.arrival.clone(),
+        )
+    }),
+    ("replicated fleet recovers strictly faster", |s| {
+        failing(
+            &s.elasticity_rows,
+            ElasticityRow::replication_recovers_faster,
+            |r| format!("{}: {} vs {}", r.fault, r.repl_recovery, r.plain_recovery),
+        )
+    }),
+    ("failover saves wire traffic", |s| {
+        failing(
+            &s.elasticity_rows,
+            |r| r.repl_emergency_bytes < r.plain_emergency_bytes,
+            |r| r.fault.clone(),
+        )
+    }),
+    ("incremental re-plan is bit-identical to rebuild", |s| {
+        failing(
+            &s.replan_latency_rows,
+            |r| r.cross_mass_rebuild.to_bits() == r.cross_mass_incremental.to_bits(),
+            |r| r.preset.clone(),
+        )
+    }),
+    ("re-plan scan reduction at E=512", |s| {
+        failing(
+            &s.replan_latency_rows,
+            |r| r.n_experts != 512 || r.scan_reduction() >= MIN_REPLAN_SCAN_REDUCTION_512,
+            |r| {
+                format!(
+                    "{}: {:.2}x < {MIN_REPLAN_SCAN_REDUCTION_512}x",
+                    r.preset,
+                    r.scan_reduction()
+                )
+            },
+        )
+    }),
+    (
+        "partial replication never loses to full at equal memory",
+        |s| {
+            failing(
+                &s.partial_replication_rows,
+                PartialReplicationRow::partial_never_loses,
+                |r| {
+                    format!(
+                        "{}: {} vs {}",
+                        r.scenario, r.partial_cross_mass, r.full_cross_mass
+                    )
+                },
+            )
+        },
+    ),
+    ("partial replication memory budget", |s| {
+        failing(
+            &s.partial_replication_rows,
+            |r| r.partial_extra_copies.max(r.full_extra_copies) <= r.replica_slots,
+            |r| r.scenario.clone(),
+        )
+    }),
+    ("partial replication migration budget", |s| {
+        failing(
+            &s.partial_replication_rows,
+            |r| within_budget(r.partial_migrated_bytes, r.budget_bytes, r.partial_replans),
+            |r| format!("{}: {} bytes", r.scenario, r.partial_migrated_bytes),
+        )
+    }),
+    // The regression the partial-replication sweep exists to catch: top-2
+    // models silently falling back to owner-only serving.
+    ("a top-2 CC row places replicas", |s| {
+        let rows = &s.partial_replication_rows;
+        let placed = rows.iter().any(|r| r.k == 2 && r.cc_replicas_added > 0);
+        unless(
+            rows.is_empty() || placed,
+            "top-2 dispatch fell back to owner-only serving",
+        )
+    }),
+];
+
+/// Compare a fresh summary against the committed baseline JSON, which
+/// must be a [`SCHEMA`] document holding every section the fresh run
+/// declares.
+pub fn compare(baseline: &str, fresh: &BenchSummary) -> GateReport {
+    let mut report = GateReport::default();
+    let base = match Baseline::parse(baseline) {
+        Ok(base) => base,
+        Err(err) => {
+            report.drifts.push(format!("unreadable baseline: {err}"));
             return report;
         }
     };
-    if baseline_version < 8 {
-        let absent: Vec<&str> = SECTION_INTRODUCED
-            .iter()
-            .filter(|&&(_, since)| since > baseline_version)
-            .map(|&(name, _)| name)
-            .collect();
-        report.notes.push(format!(
-            "baseline is {}: fresh sections {} are present in the fresh run but not gated \
-             until the committed baseline is regenerated",
-            baseline_schema.as_deref().unwrap_or_default(),
-            absent.join(", ")
+    if raw(&base.header, "schema") != Some(format!("\"{SCHEMA}\"").as_str()) {
+        report.drifts.push(format!(
+            "schema mismatch: the baseline must be {SCHEMA} \
+             (regenerate the committed baseline with bench_summary)"
         ));
+        return report;
     }
-
-    // Table rows: keyed by (model, solver); cross_mass is bit-compared.
-    let key_of = |line: &str| {
-        (
-            field(line, "model").unwrap_or_default(),
-            field(line, "solver").unwrap_or_default(),
-        )
-    };
-    let base_rows = rows_section(baseline, "rows");
-    let fresh_rows = rows_section(fresh, "rows");
-    for b in &base_rows {
-        let key = key_of(b);
-        match fresh_rows.iter().find(|f| key_of(f) == key) {
-            None => report
-                .drifts
-                .push(format!("row {}/{} missing from fresh run", key.0, key.1)),
-            Some(f) => {
-                let (bc, fc) = (field(b, "cross_mass"), field(f, "cross_mass"));
-                if bc != fc {
-                    report.drifts.push(format!(
-                        "objective drift on {}/{}: baseline {} vs fresh {}",
-                        key.0,
-                        key.1,
-                        bc.unwrap_or_default(),
-                        fc.unwrap_or_default()
-                    ));
-                }
-                warn_wall(
-                    &mut report.warnings,
-                    &format!("{}/{}", key.0, key.1),
-                    parse_ms(field(b, "wall_ms")),
-                    parse_ms(field(f, "wall_ms")),
-                );
-            }
+    compare_rows(
+        &mut report,
+        "whole sweep",
+        &[base.header],
+        &[fresh.header()],
+    );
+    for (section, rows) in fresh.sections() {
+        match base.sections.iter().find(|(name, _)| name == section) {
+            Some((_, base_rows)) => compare_rows(&mut report, section, base_rows, &rows),
+            None => report.drifts.push(format!(
+                "section {section} missing from the baseline (regenerate the committed JSON)"
+            )),
         }
     }
-    for f in &fresh_rows {
-        let key = key_of(f);
-        if !base_rows.iter().any(|b| key_of(b) == key) {
-            report.drifts.push(format!(
-                "row {}/{} not in baseline (regenerate the committed JSON)",
-                key.0, key.1
-            ));
-        }
-    }
-
-    // Sparse rows: keyed by preset; cross_mass and nnz are bit-compared.
-    let base_sparse = rows_section(baseline, "sparse_rows");
-    let fresh_sparse = rows_section(fresh, "sparse_rows");
-    for b in &base_sparse {
-        let preset = field(b, "preset").unwrap_or_default();
-        match fresh_sparse
-            .iter()
-            .find(|f| field(f, "preset").as_deref() == Some(preset.as_str()))
-        {
-            None => report
-                .drifts
-                .push(format!("sparse row {preset} missing from fresh run")),
-            Some(f) => {
-                for fact in ["cross_mass", "nnz"] {
-                    let (bv, fv) = (field(b, fact), field(f, fact));
-                    if bv != fv {
-                        report.drifts.push(format!(
-                            "{fact} drift on {preset}: baseline {} vs fresh {}",
-                            bv.unwrap_or_default(),
-                            fv.unwrap_or_default()
-                        ));
-                    }
-                }
-                warn_wall(
-                    &mut report.warnings,
-                    &format!("{preset} (dense)"),
-                    parse_ms(field(b, "wall_ms_dense")),
-                    parse_ms(field(f, "wall_ms_dense")),
-                );
-                warn_wall(
-                    &mut report.warnings,
-                    &format!("{preset} (sparse)"),
-                    parse_ms(field(b, "wall_ms_sparse")),
-                    parse_ms(field(f, "wall_ms_sparse")),
-                );
-            }
-        }
-    }
-    for f in &fresh_sparse {
-        let preset = field(f, "preset").unwrap_or_default();
-        if !base_sparse
-            .iter()
-            .any(|b| field(b, "preset").as_deref() == Some(preset.as_str()))
-        {
+    for (bar, violations) in BARS {
+        for violation in violations(fresh) {
             report
                 .drifts
-                .push(format!("sparse row {preset} not in baseline"));
+                .push(format!("acceptance bar '{bar}' fails: {violation}"));
         }
     }
-
-    // Acceptance bar: the sparse backend must hold its >= 2x win on the
-    // E=512 top-1 cell of the *fresh* run. This is algorithmic (not
-    // thread-parallel) speedup, so it holds on 1-core runners too.
-    for f in &fresh_sparse {
-        let preset = field(f, "preset").unwrap_or_default();
-        if field(f, "experts").as_deref() == Some("512") && field(f, "k").as_deref() == Some("1") {
-            let speedup: f64 = field(f, "speedup")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0);
-            if speedup < MIN_SPARSE_SPEEDUP_512 {
-                report.drifts.push(format!(
-                    "sparse backend speedup on {preset} is {speedup:.2}x, below the \
-                     {MIN_SPARSE_SPEEDUP_512:.1}x acceptance bar"
-                ));
-            }
-        }
-    }
-
-    // Online rows: keyed by scenario; cross counts, migrated bytes, and
-    // the final cross mass are bit-compared. A v2 baseline has no online
-    // section, so coverage checks only apply when the baseline has one.
-    let base_online = rows_section(baseline, "online_rows");
-    let fresh_online = rows_section(fresh, "online_rows");
-    if baseline.contains("\"online_rows\": [") {
-        let scenario_of = |line: &str| field(line, "scenario").unwrap_or_default();
-        for b in &base_online {
-            let scenario = scenario_of(b);
-            match fresh_online.iter().find(|f| scenario_of(f) == scenario) {
-                None => report
-                    .drifts
-                    .push(format!("online row {scenario} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "static_cross",
-                        "oracle_cross",
-                        "budgeted_cross",
-                        "migrated_bytes",
-                        "cross_mass",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on {scenario}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_online {
-            let scenario = scenario_of(f);
-            if !base_online.iter().any(|b| scenario_of(b) == scenario) {
-                report
-                    .drifts
-                    .push(format!("online row {scenario} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the online subsystem, checked on the fresh run
-    // regardless of baseline version: budgeted incremental re-placement
-    // must recover >= 80% of the oracle's cross-traffic reduction, and
-    // must never migrate more than its byte budget per re-plan.
-    for f in &fresh_online {
-        let scenario = field(f, "scenario").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        // Recompute recovery from the exact integer cross counts rather
-        // than trusting the 4-decimal-rounded `recovery` field (0.79997
-        // would serialize as "0.8000" and sneak past the bar).
-        if let (Some(stat), Some(oracle), Some(budgeted)) = (
-            num("static_cross"),
-            num("oracle_cross"),
-            num("budgeted_cross"),
-        ) {
-            let recovery = if stat <= oracle {
-                1.0
-            } else {
-                (stat - budgeted) / (stat - oracle)
-            };
-            if recovery < MIN_ONLINE_RECOVERY {
-                report.drifts.push(format!(
-                    "online recovery on {scenario} is {recovery:.4}, below the \
-                     {MIN_ONLINE_RECOVERY:.1} acceptance bar"
-                ));
-            }
-        }
-        if let (Some(migrated), Some(budget), Some(replans)) =
-            (num("migrated_bytes"), num("budget_bytes"), num("replans"))
-        {
-            if migrated > budget * replans {
-                report.drifts.push(format!(
-                    "online migration on {scenario} moved {migrated} bytes across \
-                     {replans} re-plans, over the {budget}-byte per-re-plan budget"
-                ));
-            }
-        }
-    }
-
-    // Replication-online rows: keyed by scenario; cross counts, replica
-    // churn, migrated bytes, and the final cross mass are bit-compared. A
-    // v3 baseline has no such section, so coverage checks only apply when
-    // the baseline has one.
-    let base_rep = rows_section(baseline, "replication_online_rows");
-    let fresh_rep = rows_section(fresh, "replication_online_rows");
-    if baseline.contains("\"replication_online_rows\": [") {
-        let scenario_of = |line: &str| field(line, "scenario").unwrap_or_default();
-        for b in &base_rep {
-            let scenario = scenario_of(b);
-            match fresh_rep.iter().find(|f| scenario_of(f) == scenario) {
-                None => report
-                    .drifts
-                    .push(format!("replication row {scenario} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "static_cross",
-                        "owner_cross",
-                        "joint_cross",
-                        "owner_migrated_bytes",
-                        "joint_migrated_bytes",
-                        "replicas_added",
-                        "replicas_dropped",
-                        "extra_copies",
-                        "cross_mass",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on {scenario}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_rep {
-            let scenario = scenario_of(f);
-            if !base_rep.iter().any(|b| scenario_of(b) == scenario) {
-                report
-                    .drifts
-                    .push(format!("replication row {scenario} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the replication-aware online subsystem, checked
-    // on the fresh run regardless of baseline version: the joint policy
-    // must respect both budget axes on every scenario (replica memory in
-    // slots, migration bytes per re-plan), never lose to owner-moves-only
-    // in realized cross traffic, and strictly beat it on at least one
-    // scenario — that is the memory-for-migration-bytes trade-off the
-    // subsystem exists to buy.
-    let mut joint_dominates_somewhere = fresh_rep.is_empty();
-    for f in &fresh_rep {
-        let scenario = field(f, "scenario").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let (Some(extra), Some(slots)) = (num("extra_copies"), num("replica_slots")) {
-            if extra > slots {
-                report.drifts.push(format!(
-                    "replication memory on {scenario}: {extra} extra copies over the \
-                     {slots}-slot per-GPU budget"
-                ));
-            }
-        }
-        for policy in ["owner", "joint"] {
-            if let (Some(migrated), Some(budget), Some(replans)) = (
-                num(&format!("{policy}_migrated_bytes")),
-                num("budget_bytes"),
-                num(&format!("{policy}_replans")),
-            ) {
-                if migrated > budget * replans {
-                    report.drifts.push(format!(
-                        "replication migration ({policy}) on {scenario} moved {migrated} bytes \
-                         across {replans} re-plans, over the {budget}-byte per-re-plan budget"
-                    ));
-                }
-            }
-        }
-        if let (Some(owner), Some(joint)) = (num("owner_cross"), num("joint_cross")) {
-            if joint > owner {
-                report.drifts.push(format!(
-                    "replication on {scenario}: joint policy crossed {joint} vs owner-moves-only \
-                     {owner} at equal migration bytes"
-                ));
-            }
-            if joint < owner {
-                joint_dominates_somewhere = true;
-            }
-        }
-    }
-    if !joint_dominates_somewhere {
-        report.drifts.push(
-            "replication: the joint policy beats owner-moves-only on no scenario \
-             (the replica memory budget bought nothing)"
-                .to_string(),
-        );
-    }
-
-    // Serving rows: keyed by arrival process; every latency percentile,
-    // goodput, offered load, re-plan count, and migrated-byte figure is a
-    // deterministic virtual-time fact, so all of them are bit-compared. A
-    // v3/v4 baseline has no serving section, so coverage checks only
-    // apply when the baseline has one.
-    let base_serving = rows_section(baseline, "serving_rows");
-    let fresh_serving = rows_section(fresh, "serving_rows");
-    if baseline.contains("\"serving_rows\": [") {
-        let arrival_of = |line: &str| field(line, "arrival").unwrap_or_default();
-        for b in &base_serving {
-            let arrival = arrival_of(b);
-            match fresh_serving.iter().find(|f| arrival_of(f) == arrival) {
-                None => report
-                    .drifts
-                    .push(format!("serving row {arrival} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "offered_load",
-                        "static_p50",
-                        "static_p95",
-                        "static_p99",
-                        "static_goodput",
-                        "online_p50",
-                        "online_p95",
-                        "online_p99",
-                        "online_goodput",
-                        "online_replans",
-                        "online_migrated_bytes",
-                        "repl_p50",
-                        "repl_p95",
-                        "repl_p99",
-                        "repl_goodput",
-                        "repl_replicas_added",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on serving/{arrival}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_serving {
-            let arrival = arrival_of(f);
-            if !base_serving.iter().any(|b| arrival_of(b) == arrival) {
-                report
-                    .drifts
-                    .push(format!("serving row {arrival} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the serving front-end, checked on the fresh run
-    // regardless of baseline version: under every arrival process the
-    // adaptive policies — which pay for their re-placements with real
-    // migration stalls in serving time — must never worsen the p99
-    // latency tail over the static incumbent, and no policy may report
-    // more goodput than the load it was offered.
-    for f in &fresh_serving {
-        let arrival = field(f, "arrival").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let Some(static_p99) = num("static_p99") {
-            for policy in ["online", "repl"] {
-                if let Some(p99) = num(&format!("{policy}_p99")) {
-                    if p99 > static_p99 {
-                        report.drifts.push(format!(
-                            "serving tail on {arrival}: {policy} p99 {p99} worse than the \
-                             static incumbent's {static_p99} at equal budget"
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(offered) = num("offered_load") {
-            for policy in ["static", "online", "repl"] {
-                if let Some(goodput) = num(&format!("{policy}_goodput")) {
-                    if goodput > offered {
-                        report.drifts.push(format!(
-                            "serving goodput on {arrival}: {policy} reports {goodput} over \
-                             the offered load {offered}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // Elasticity rows: keyed by fault schedule; disruption counts,
-    // emergency bytes, latency tails, and recovery times are all
-    // deterministic virtual-time facts, so all of them are bit-compared.
-    // A v3/v4/v5 baseline has no elasticity section, so coverage checks
-    // only apply when the baseline has one.
-    let base_elastic = rows_section(baseline, "elasticity_rows");
-    let fresh_elastic = rows_section(fresh, "elasticity_rows");
-    if baseline.contains("\"elasticity_rows\": [") {
-        let fault_of = |line: &str| field(line, "fault").unwrap_or_default();
-        for b in &base_elastic {
-            let fault = fault_of(b);
-            match fresh_elastic.iter().find(|f| fault_of(f) == fault) {
-                None => report
-                    .drifts
-                    .push(format!("elasticity row {fault} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "fault_time",
-                        "plain_p99",
-                        "plain_disrupted",
-                        "plain_steps_degraded",
-                        "plain_emergency_bytes",
-                        "plain_recovery",
-                        "repl_p99",
-                        "repl_disrupted",
-                        "repl_steps_degraded",
-                        "repl_emergency_bytes",
-                        "repl_recovery",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on elasticity/{fault}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                    // `repl_extra_copies` joined the elasticity row at
-                    // v8; older baselines simply lack the field.
-                    if baseline_version >= 8 {
-                        let (bv, fv) =
-                            (field(b, "repl_extra_copies"), field(f, "repl_extra_copies"));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "repl_extra_copies drift on elasticity/{fault}: baseline {} vs \
-                                 fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_elastic {
-            let fault = fault_of(f);
-            if !base_elastic.iter().any(|b| fault_of(b) == fault) {
-                report
-                    .drifts
-                    .push(format!("elasticity row {fault} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the fault-tolerance layer, checked on the fresh
-    // run regardless of baseline version: under every fault schedule the
-    // replicated fleet must recover its latency tail (recovery >= 0)
-    // strictly faster than the unreplicated fleet (which may never
-    // recover at all, encoded as -1), and replica failover must save
-    // emergency wire traffic over restoring from a checkpoint shard.
-    for f in &fresh_elastic {
-        let fault = field(f, "fault").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let (Some(plain_rec), Some(repl_rec)) = (num("plain_recovery"), num("repl_recovery")) {
-            let faster = repl_rec >= 0.0 && (plain_rec < 0.0 || repl_rec < plain_rec);
-            if !faster {
-                report.drifts.push(format!(
-                    "elasticity on {fault}: replicated fleet recovery {repl_rec} vs \
-                     unreplicated {plain_rec} — replication must buy strictly faster recovery"
-                ));
-            }
-        }
-        if let (Some(plain_bytes), Some(repl_bytes)) =
-            (num("plain_emergency_bytes"), num("repl_emergency_bytes"))
-        {
-            if repl_bytes >= plain_bytes {
-                report.drifts.push(format!(
-                    "elasticity on {fault}: replication shipped {repl_bytes} emergency bytes vs \
-                     {plain_bytes} without — failover must save wire traffic"
-                ));
-            }
-        }
-    }
-
-    // Replan-latency rows: keyed by preset; the solver-cost counters and
-    // both final cross masses are deterministic operation counts /
-    // objectives, so all of them are bit-compared. A v3..v6 baseline has
-    // no such section, so coverage checks only apply when the baseline
-    // has one.
-    let base_replan = rows_section(baseline, "replan_latency_rows");
-    let fresh_replan = rows_section(fresh, "replan_latency_rows");
-    if baseline.contains("\"replan_latency_rows\": [") {
-        let preset_of = |line: &str| field(line, "preset").unwrap_or_default();
-        for b in &base_replan {
-            let preset = preset_of(b);
-            match fresh_replan.iter().find(|f| preset_of(f) == preset) {
-                None => report.drifts.push(format!(
-                    "replan-latency row {preset} missing from fresh run"
-                )),
-                Some(f) => {
-                    for fact in [
-                        "replans",
-                        "considered",
-                        "evaluated_rebuild",
-                        "evaluated_incremental",
-                        "reused",
-                        "cross_mass_rebuild",
-                        "cross_mass_incremental",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on replan-latency/{preset}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                    warn_wall(
-                        &mut report.warnings,
-                        &format!("{preset} (re-plan, rebuild)"),
-                        parse_ms(field(b, "wall_ms_rebuild")),
-                        parse_ms(field(f, "wall_ms_rebuild")),
-                    );
-                    warn_wall(
-                        &mut report.warnings,
-                        &format!("{preset} (re-plan, incremental)"),
-                        parse_ms(field(b, "wall_ms_incremental")),
-                        parse_ms(field(f, "wall_ms_incremental")),
-                    );
-                }
-            }
-        }
-        for f in &fresh_replan {
-            let preset = preset_of(f);
-            if !base_replan.iter().any(|b| preset_of(b) == preset) {
-                report
-                    .drifts
-                    .push(format!("replan-latency row {preset} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the incremental re-plan engine, checked on the
-    // fresh run regardless of baseline version: the delta-maintained
-    // objective must land bit-identical to the cold rebuild (string
-    // equality of the shortest-round-trip cross masses *is* bit
-    // equality), and at E = 512 the swap-gain cache must cut
-    // candidate-gain recomputation at least
-    // [`MIN_REPLAN_SCAN_REDUCTION_512`]x. The reduction is recomputed
-    // from the exact integer counters rather than trusting the
-    // 3-decimal-rounded `scan_reduction` field.
-    for f in &fresh_replan {
-        let preset = field(f, "preset").unwrap_or_default();
-        let (cm_rebuild, cm_incremental) = (
-            field(f, "cross_mass_rebuild"),
-            field(f, "cross_mass_incremental"),
-        );
-        if cm_rebuild != cm_incremental {
-            report.drifts.push(format!(
-                "replan-latency on {preset}: incremental cross mass {} diverged from the \
-                 rebuild's {} — incremental maintenance must be bit-identical",
-                cm_incremental.unwrap_or_default(),
-                cm_rebuild.unwrap_or_default()
-            ));
-        }
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if field(f, "experts").as_deref() == Some("512") {
-            if let (Some(rebuild), Some(incremental)) =
-                (num("evaluated_rebuild"), num("evaluated_incremental"))
-            {
-                let reduction = if incremental > 0.0 {
-                    rebuild / incremental
-                } else {
-                    0.0
-                };
-                if reduction < MIN_REPLAN_SCAN_REDUCTION_512 {
-                    report.drifts.push(format!(
-                        "replan-latency scan reduction on {preset} is {reduction:.2}x, below \
-                         the {MIN_REPLAN_SCAN_REDUCTION_512:.1}x acceptance bar"
-                    ));
-                }
-            }
-        }
-    }
-
-    // Partial-replication rows: keyed by scenario; every field is a
-    // deterministic objective, byte count, or copy count (there are no
-    // wall-clock columns), so all of them are bit-compared. A v3..v7
-    // baseline has no such section, so coverage checks only apply when
-    // the baseline has one.
-    let base_partial = rows_section(baseline, "partial_replication_rows");
-    let fresh_partial = rows_section(fresh, "partial_replication_rows");
-    if baseline.contains("\"partial_replication_rows\": [") {
-        let scenario_of = |line: &str| field(line, "scenario").unwrap_or_default();
-        for b in &base_partial {
-            let scenario = scenario_of(b);
-            match fresh_partial.iter().find(|f| scenario_of(f) == scenario) {
-                None => report.drifts.push(format!(
-                    "partial-replication row {scenario} missing from fresh run"
-                )),
-                Some(f) => {
-                    for fact in [
-                        "partial_replans",
-                        "replicas_added",
-                        "partial_migrated_bytes",
-                        "full_migrated_bytes",
-                        "partial_extra_copies",
-                        "full_extra_copies",
-                        "partial_cross_mass",
-                        "full_cross_mass",
-                        "realized_cross",
-                        "cc_replicas_added",
-                        "cc_local_fraction",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on partial-replication/{scenario}: baseline {} vs \
-                                 fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_partial {
-            let scenario = scenario_of(f);
-            if !base_partial.iter().any(|b| scenario_of(b) == scenario) {
-                report.drifts.push(format!(
-                    "partial-replication row {scenario} not in baseline"
-                ));
-            }
-        }
-    }
-
-    // Acceptance bars of partial replication, checked on the fresh run
-    // regardless of baseline version: on every cell the subset policy —
-    // which races the full fan-out from the same incumbent at the same
-    // memory and migration budgets — must never lose to full replication
-    // in solver cross mass, both policies must respect the per-GPU slot
-    // and per-re-plan byte budgets, and at least one top-2 CC engine row
-    // must actually place replicas (the regression the sweep exists to
-    // catch is top-2 models silently falling back to owner-only serving).
-    let mut top2_uses_replicas = fresh_partial.is_empty();
-    for f in &fresh_partial {
-        let scenario = field(f, "scenario").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let (Some(partial), Some(full)) = (num("partial_cross_mass"), num("full_cross_mass")) {
-            if partial > full {
-                report.drifts.push(format!(
-                    "partial replication on {scenario}: subset policy crossed {partial} vs full \
-                     fan-out's {full} at equal memory"
-                ));
-            }
-        }
-        if let Some(slots) = num("replica_slots") {
-            for policy in ["partial", "full"] {
-                if let Some(extra) = num(&format!("{policy}_extra_copies")) {
-                    if extra > slots {
-                        report.drifts.push(format!(
-                            "partial replication on {scenario}: {policy} policy holds {extra} \
-                             extra copies over the {slots}-slot per-GPU budget"
-                        ));
-                    }
-                }
-            }
-        }
-        if let (Some(migrated), Some(budget), Some(replans)) = (
-            num("partial_migrated_bytes"),
-            num("budget_bytes"),
-            num("partial_replans"),
-        ) {
-            if migrated > budget * replans {
-                report.drifts.push(format!(
-                    "partial replication on {scenario} moved {migrated} bytes across {replans} \
-                     re-plans, over the {budget}-byte per-re-plan budget"
-                ));
-            }
-        }
-        if field(f, "k").as_deref() == Some("2")
-            && num("cc_replicas_added").is_some_and(|n| n > 0.0)
-        {
-            top2_uses_replicas = true;
-        }
-    }
-    if !top2_uses_replicas {
-        report.drifts.push(
-            "partial replication: no top-2 CC row placed a replica \
-             (top-2 dispatch fell back to owner-only serving)"
-                .to_string(),
-        );
-    }
-
-    // Whole-sweep walls.
-    let top_field = |json: &str, key: &str| {
-        json.lines()
-            .find(|l| l.trim_start().starts_with(&format!("\"{key}\"")))
-            .and_then(|l| field(l, key))
-            .and_then(|v| v.parse::<f64>().ok())
-    };
-    warn_wall(
-        &mut report.warnings,
-        "whole sweep (jobs=1)",
-        top_field(baseline, "wall_ms_jobs1"),
-        top_field(fresh, "wall_ms_jobs1"),
-    );
-    warn_wall(
-        &mut report.warnings,
-        "whole sweep (jobs=N)",
-        top_field(baseline, "wall_ms_jobsN"),
-        top_field(fresh, "wall_ms_jobsN"),
-    );
-
     report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::{
-        BenchRow, BenchSummary, ElasticityRow, OnlineBenchRow, PartialReplicationRow,
-        ReplanLatencyRow, ReplicationOnlineRow, ServingBenchRow, SparseBenchRow,
-    };
+    use crate::summary::tests::fixture;
+    use crate::summary::{emit, Section, Value};
 
-    fn summary(cross: f64, wall: f64, sparse_wall_dense: f64) -> BenchSummary {
-        BenchSummary {
-            seed: 1,
-            scale: "quick".into(),
-            jobs: 4,
-            wall_ms_jobs1: wall,
-            wall_ms_jobs_n: wall / 2.0,
-            rows: vec![BenchRow {
-                model: "MoE-GPT-M/8e-24L".into(),
-                solver: "greedy".into(),
-                wall_ms: wall / 10.0,
-                cross_mass: cross,
-            }],
-            sparse_rows: vec![SparseBenchRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                nnz: 3000,
-                density: 0.011,
-                wall_ms_dense: sparse_wall_dense,
-                wall_ms_sparse: 10.0,
-                cross_mass: cross / 2.0,
-            }],
-            online_rows: vec![OnlineBenchRow {
-                scenario: "piecewise-2phase".into(),
-                n_experts: 16,
-                layers: 5,
-                windows: 6,
-                replan_every: 1,
-                budget_bytes: 1 << 28,
-                migrated_bytes: 3 << 27,
-                replans: 3,
-                static_cross: 5000,
-                oracle_cross: 3000,
-                budgeted_cross: 3200,
-                cross_mass: cross / 3.0,
-            }],
-            replication_online_rows: vec![ReplicationOnlineRow {
-                scenario: "piecewise-2phase/E16".into(),
-                n_experts: 16,
-                layers: 5,
-                units: 4,
-                windows: 10,
-                replan_every: 1,
-                budget_bytes: 1 << 26,
-                replica_slots: 8,
-                owner_migrated_bytes: 3 << 25,
-                joint_migrated_bytes: 1 << 26,
-                owner_replans: 2,
-                joint_replans: 2,
-                replicas_added: 5,
-                replicas_dropped: 1,
-                extra_copies: 4,
-                static_cross: 5000,
-                owner_cross: 3600,
-                joint_cross: 3100,
-                cross_mass: cross / 4.0,
-            }],
-            serving_rows: vec![ServingBenchRow {
-                arrival: "poisson".into(),
-                requests: 48,
-                decode_steps: 2,
-                windows: 6,
-                max_batch: 8,
-                offered_load: 0.125,
-                static_p50: 20.0,
-                static_p95: 44.0,
-                static_p99: 52.0,
-                static_goodput: 0.115,
-                online_p50: 18.0,
-                online_p95: 34.0,
-                online_p99: 40.0,
-                online_goodput: 0.12,
-                online_replans: 2,
-                online_migrated_bytes: 9 << 20,
-                repl_p50: 17.5,
-                repl_p95: 33.0,
-                repl_p99: 39.0,
-                repl_goodput: 0.121,
-                repl_replicas_added: 3,
-            }],
-            elasticity_rows: vec![ElasticityRow {
-                fault: "gpu-loss".into(),
-                requests: 500,
-                fault_time: 12.5,
-                plain_p99: 60.0,
-                plain_disrupted: 9,
-                plain_steps_degraded: 40,
-                plain_emergency_bytes: 7 << 20,
-                plain_recovery: 8.25,
-                repl_p99: 48.0,
-                repl_disrupted: 9,
-                repl_steps_degraded: 12,
-                repl_emergency_bytes: 0,
-                repl_recovery: 1.5,
-                repl_extra_copies: 6,
-            }],
-            replan_latency_rows: vec![ReplanLatencyRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                windows: 4,
-                replans: 3,
-                max_moves: 40,
-                considered: 8_000_000,
-                evaluated_rebuild: 8_000_000,
-                evaluated_incremental: 1_000_000,
-                reused: 7_000_000,
-                wall_ms_rebuild: 900.0,
-                wall_ms_incremental: 120.0,
-                cross_mass_rebuild: cross / 5.0,
-                cross_mass_incremental: cross / 5.0,
-            }],
-            partial_replication_rows: vec![PartialReplicationRow {
-                scenario: "partial-repl/256e-top2".into(),
-                n_experts: 256,
-                k: 2,
-                layers: 2,
-                units: 8,
-                windows: 3,
-                replica_slots: 4,
-                budget_bytes: 12 << 20,
-                partial_replans: 2,
-                replicas_added: 5,
-                partial_migrated_bytes: 6 << 20,
-                full_migrated_bytes: 9 << 20,
-                partial_extra_copies: 3,
-                full_extra_copies: 4,
-                partial_cross_mass: cross / 6.0,
-                full_cross_mass: cross / 5.0,
-                realized_cross: 1234,
-                cc_replicas_added: 2,
-                cc_local_fraction: 0.875,
-            }],
-        }
+    /// Give a field another value of the same print form: one ulp away
+    /// for round-trip floats, the smallest visible change.
+    fn perturb(field: &mut Field) {
+        field.1 = match &field.1 {
+            Value::Str(s) => Value::Str(format!("{s}x")),
+            Value::Int(n) => Value::Int(n + 1),
+            Value::Float(x) => Value::Float(f64::from_bits(x.to_bits() + 1)),
+            Value::Fixed(x, decimals) => Value::Fixed(x + 1.0, *decimals),
+            Value::Bool(b) => Value::Bool(!b),
+        };
+    }
+
+    /// The baseline printed from `sections` with field `f` of row `r` of
+    /// section `s` perturbed.
+    fn baseline_with(
+        header: &[Field],
+        sections: &[Section],
+        s: usize,
+        r: usize,
+        f: usize,
+    ) -> String {
+        let mut sections = sections.to_vec();
+        perturb(&mut sections[s].1[r][f]);
+        emit(header, &sections)
     }
 
     #[test]
     fn identical_documents_pass() {
-        let json = summary(0.25, 100.0, 100.0).to_json();
-        let report = compare(&json, &json);
+        let fresh = fixture();
+        let report = compare(&fresh.to_json(), &fresh);
         assert!(report.ok(), "{:?}", report.drifts);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert!(report.to_markdown().contains("PASS"));
     }
 
     #[test]
-    fn objective_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25000000001, 100.0, 100.0).to_json();
-        let report = compare(&base, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("objective drift"));
-        assert!(report.to_markdown().contains("FAIL"));
+    fn each_bit_field_drift_is_exactly_one_named_drift() {
+        let fresh = fixture();
+        let (header, sections) = (fresh.header(), fresh.sections());
+        let mut bit_fields = Vec::new();
+        for (s, (section, rows)) in sections.iter().enumerate() {
+            let mut count = 0;
+            for (r, row) in rows.iter().enumerate() {
+                let at = format!("{section}/{}", key_of(row)[0].trim_matches('"'));
+                for (f, (name, _, role)) in row.iter().enumerate() {
+                    if *role != Role::Bit {
+                        continue;
+                    }
+                    count += 1;
+                    let report = compare(&baseline_with(&header, &sections, s, r, f), &fresh);
+                    assert_eq!(report.drifts.len(), 1, "{at} {name}: {:?}", report.drifts);
+                    assert!(
+                        report.drifts[0].starts_with(&format!("{name} drift on {at}")),
+                        "{:?}",
+                        report.drifts
+                    );
+                    assert!(report.to_markdown().contains("FAIL"));
+                }
+            }
+            bit_fields.push(count);
+        }
+        // rows, sparse, online, replication-online, serving, elasticity,
+        // replan-latency, partial-replication.
+        assert_eq!(bit_fields, [1, 2, 5, 9, 16, 12, 7, 11]);
     }
 
     #[test]
-    fn one_ulp_of_drift_is_detected() {
-        let x = 0.1f64;
-        let bumped = f64::from_bits(x.to_bits() + 1);
-        let base = summary(x, 100.0, 100.0).to_json();
-        let fresh = summary(bumped, 100.0, 100.0).to_json();
-        assert!(!compare(&base, &fresh).ok(), "1-ulp drift must fail");
+    fn wall_and_info_fields_never_drift() {
+        let fresh = fixture();
+        let (header, sections) = (fresh.header(), fresh.sections());
+        for f in 0..header.len() {
+            let mut changed = header.clone();
+            perturb(&mut changed[f]);
+            let report = compare(&emit(&changed, &sections), &fresh);
+            assert!(report.ok(), "header {}: {:?}", header[f].0, report.drifts);
+        }
+        for (s, (section, rows)) in sections.iter().enumerate() {
+            for (r, row) in rows.iter().enumerate() {
+                for (f, (name, _, role)) in row.iter().enumerate() {
+                    if matches!(role, Role::Wall | Role::Info) {
+                        let report = compare(&baseline_with(&header, &sections, s, r, f), &fresh);
+                        assert!(report.ok(), "{section} {name}: {:?}", report.drifts);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
-    fn wall_regression_only_warns() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25, 200.0, 100.0).to_json();
-        let report = compare(&base, &fresh);
-        assert!(report.ok());
-        assert!(
-            report.warnings.iter().any(|w| w.contains("whole sweep")),
-            "{:?}",
-            report.warnings
-        );
-    }
-
-    #[test]
-    fn wall_improvements_are_silent() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25, 50.0, 100.0).to_json();
-        let report = compare(&base, &fresh);
-        assert!(report.ok() && report.warnings.is_empty());
-    }
-
-    #[test]
-    fn nnz_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.sparse_rows[0].nnz += 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("nnz drift"));
-    }
-
-    #[test]
-    fn slow_sparse_backend_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        // Dense wall 15 ms vs sparse 10 ms: only 1.5x on the 512 cell.
-        let fresh = summary(0.25, 100.0, 15.0).to_json();
-        let report = compare(&base, &fresh);
-        assert!(!report.ok());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("acceptance bar")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn missing_and_extra_rows_fail() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.rows[0].solver = "renamed".into();
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("missing")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
-    }
-
-    #[test]
-    fn v1_baseline_is_rejected() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = fresh.replace("exflow-bench-summary/v8", "exflow-bench-summary/v1");
-        let report = compare(&old, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("schema"));
-    }
-
-    /// Drop the last array section of a document (the emitter always
-    /// closes it with `  ]\n}`) and relabel the schema.
-    fn strip_last_section(json: &str, key: &str, from: &str, to: &str) -> String {
-        let start = json.find(&format!(",\n  \"{key}\": [")).unwrap();
-        let end = json.rfind("  ]\n}").unwrap();
-        let mut out = String::new();
-        out.push_str(&json[..start]);
-        out.push('\n');
-        out.push_str(&json[end + 4..]);
-        out.replace(from, to)
-    }
-
-    /// Strip a v8 document down to the v7 schema (drop the
-    /// partial_replication_rows section and relabel).
-    fn as_v7(json: &str) -> String {
-        strip_last_section(
-            json,
-            "partial_replication_rows",
-            "exflow-bench-summary/v8",
-            "exflow-bench-summary/v7",
-        )
-    }
-
-    /// Strip a v8 document down to the v6 schema (drop the
-    /// partial_replication_rows and replan_latency_rows sections and
-    /// relabel).
-    fn as_v6(json: &str) -> String {
-        strip_last_section(
-            &as_v7(json),
-            "replan_latency_rows",
-            "exflow-bench-summary/v7",
-            "exflow-bench-summary/v6",
-        )
-    }
-
-    /// Strip a v8 document down to the v5 schema (additionally drop the
-    /// elasticity_rows section and relabel).
-    fn as_v5(json: &str) -> String {
-        strip_last_section(
-            &as_v6(json),
-            "elasticity_rows",
-            "exflow-bench-summary/v6",
-            "exflow-bench-summary/v5",
-        )
-    }
-
-    /// Strip a v8 document down to the v4 schema (additionally drop the
-    /// serving_rows section and relabel).
-    fn as_v4(json: &str) -> String {
-        strip_last_section(
-            &as_v5(json),
-            "serving_rows",
-            "exflow-bench-summary/v5",
-            "exflow-bench-summary/v4",
-        )
-    }
-
-    /// Strip a v8 document down to the v3 schema (keep only the rows,
-    /// sparse_rows, and online_rows sections and relabel).
-    fn as_v3(json: &str) -> String {
-        strip_last_section(
-            &as_v4(json),
-            "replication_online_rows",
-            "exflow-bench-summary/v4",
-            "exflow-bench-summary/v3",
-        )
-    }
-
-    #[test]
-    fn v3_baseline_is_still_accepted() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v3(&fresh);
-        assert!(old.contains("exflow-bench-summary/v3"));
-        assert!(!old.contains("replication_online_rows"));
-        assert!(!old.contains("serving_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        // But objective drift in the shared sections still fails.
-        let drifted = summary(0.26, 100.0, 100.0).to_json();
-        assert!(!compare(&old, &drifted).ok());
-    }
-
-    #[test]
-    fn v4_baseline_is_still_accepted_and_noted_as_skew() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v4(&fresh);
-        assert!(old.contains("exflow-bench-summary/v4"));
-        assert!(old.contains("replication_online_rows"));
-        assert!(!old.contains("serving_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        // The skew is surfaced as an informational note, labeled apart
-        // from wall-time warnings in the markdown.
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v4"));
-        let md = report.to_markdown();
-        assert!(md.contains("Schema-version skew"));
-        assert!(!md.contains("Wall-time regressions"));
-    }
-
-    #[test]
-    fn matching_schemas_produce_no_skew_note() {
-        let json = summary(0.25, 100.0, 100.0).to_json();
-        let report = compare(&json, &json);
-        assert!(report.notes.is_empty(), "{:?}", report.notes);
-        assert!(!report.to_markdown().contains("Schema-version skew"));
-    }
-
-    #[test]
-    fn wall_warnings_are_labeled_apart_from_skew_notes() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25, 200.0, 100.0).to_json();
-        let md = compare(&base, &fresh).to_markdown();
-        assert!(md.contains("Wall-time regressions"));
-        assert!(!md.contains("Schema-version skew"));
-    }
-
-    #[test]
-    fn v5_baseline_is_still_accepted_and_noted_as_skew() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v5(&fresh);
-        assert!(old.contains("exflow-bench-summary/v5"));
-        assert!(old.contains("serving_rows"));
-        assert!(!old.contains("elasticity_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v5"));
-    }
-
-    #[test]
-    fn v5_fresh_document_is_rejected() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = as_v5(&base);
-        let report = compare(&base, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("must be exflow-bench-summary/v8"));
-    }
-
-    #[test]
-    fn replication_cross_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_cross -= 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("joint_cross drift")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn replication_memory_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replication_online_rows[0].extra_copies =
-            fresh.replication_online_rows[0].replica_slots + 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("slot per-GPU budget") || d.contains("-slot per-GPU budget")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn replication_migration_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_migrated_bytes = fresh.replication_online_rows[0]
-            .budget_bytes
-            * fresh.replication_online_rows[0].joint_replans as u64
-            + 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("replication migration (joint)")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn joint_policy_losing_to_owner_moves_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_cross =
-            fresh.replication_online_rows[0].owner_cross + 100;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("at equal migration bytes")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn joint_policy_tying_everywhere_fails_the_domination_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_cross = fresh.replication_online_rows[0].owner_cross;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("the replica memory budget bought nothing")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn serving_latency_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.serving_rows[0].online_p99 += 1e-9;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("online_p99 drift on serving/poisson")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn serving_tail_regression_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        // Online p99 worse than static: the whole point of paying
-        // migration stalls is lost, and the gate must say so even though
-        // the baseline (bit-compare) would also catch the change.
-        fresh.serving_rows[0].online_p99 = fresh.serving_rows[0].static_p99 + 1.0;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("serving tail on poisson")),
-            "{:?}",
-            report.drifts
-        );
-        // The bar also binds against a v4 baseline, where no bit-compare
-        // covers the serving section at all.
-        let report = compare(&as_v4(&base.to_json()), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("serving tail on poisson")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn serving_goodput_over_offered_load_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.serving_rows[0].repl_goodput = fresh.serving_rows[0].offered_load * 2.0;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("serving goodput on poisson")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn serving_missing_arrival_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.serving_rows[0].arrival = "renamed".into();
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("serving row")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
-    }
-
-    #[test]
-    fn elasticity_recovery_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.elasticity_rows[0].repl_recovery += 1e-9;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("repl_recovery drift on elasticity/gpu-loss")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn slow_replicated_recovery_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        for repl_recovery in [-1.0, 9.0] {
-            // Never recovering, or recovering slower than the
-            // unreplicated fleet's 8.25, both fail.
-            let mut fresh = base.clone();
-            fresh.elasticity_rows[0].repl_recovery = repl_recovery;
-            let report = compare(&base.to_json(), &fresh.to_json());
+    fn every_section_must_be_in_the_baseline() {
+        let fresh = fixture();
+        let sections = fresh.sections();
+        for s in 0..sections.len() {
+            let mut stripped = sections.clone();
+            let (name, _) = stripped.remove(s);
+            let report = compare(&emit(&fresh.header(), &stripped), &fresh);
             assert!(
                 report
                     .drifts
                     .iter()
-                    .any(|d| d.contains("strictly faster recovery")),
-                "repl_recovery {repl_recovery}: {:?}",
-                report.drifts
-            );
-            // The bar also binds against a v5 baseline, where no
-            // bit-compare covers the elasticity section at all.
-            let report = compare(&as_v5(&base.to_json()), &fresh.to_json());
-            assert!(
-                report
-                    .drifts
-                    .iter()
-                    .any(|d| d.contains("strictly faster recovery")),
-                "repl_recovery {repl_recovery} (v5 baseline): {:?}",
+                    .any(|d| d.starts_with(&format!("section {name} missing from the baseline"))),
+                "{name}: {:?}",
                 report.drifts
             );
         }
     }
 
     #[test]
-    fn failover_saving_no_wire_traffic_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.elasticity_rows[0].repl_emergency_bytes =
-            fresh.elasticity_rows[0].plain_emergency_bytes;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("failover must save wire traffic")),
-            "{:?}",
-            report.drifts
-        );
+    fn missing_and_extra_rows_fail_in_every_section() {
+        let fresh = fixture();
+        let sections = fresh.sections();
+        for (s, (section, rows)) in sections.iter().enumerate() {
+            let key = rows[0].iter().position(|f| f.2 == Role::Key).unwrap();
+            let report = compare(
+                &baseline_with(&fresh.header(), &sections, s, 0, key),
+                &fresh,
+            );
+            for what in ["not in baseline", "missing from fresh run"] {
+                assert!(
+                    report
+                        .drifts
+                        .iter()
+                        .any(|d| d.starts_with(&format!("{section}/")) && d.contains(what)),
+                    "{section} {what}: {:?}",
+                    report.drifts
+                );
+            }
+        }
     }
 
     #[test]
-    fn elasticity_missing_fault_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.elasticity_rows[0].fault = "renamed".into();
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("elasticity row")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
+    fn other_schemas_and_unreadable_baselines_are_rejected() {
+        let fresh = fixture();
+        let json = fresh.to_json();
+        let v7 = json.replace(SCHEMA, "exflow-bench-summary/v7");
+        let report = compare(&v7, &fresh);
+        assert_eq!(report.drifts.len(), 1);
+        assert!(report.drifts[0].starts_with("schema mismatch"));
+        for cut in [json.len() / 3, json.len() / 2, json.len() - 10] {
+            let report = compare(&json[..cut], &fresh);
+            assert!(!report.ok(), "a baseline cut at byte {cut} must fail");
+        }
     }
 
     #[test]
-    fn v6_baseline_is_accepted_and_note_names_the_replan_section() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v6(&fresh);
-        assert!(old.contains("exflow-bench-summary/v6"));
-        assert!(old.contains("elasticity_rows"));
-        assert!(!old.contains("replan_latency_rows"));
-        let report = compare(&old, &fresh);
+    fn wall_regressions_only_warn_and_improvements_are_silent() {
+        let base = fixture();
+        let mut slower = base.clone();
+        slower.wall_ms_jobs1 *= 2.0;
+        slower.replan_latency_rows[0].wall_ms_incremental *= 2.0;
+        let report = compare(&base.to_json(), &slower);
         assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v6"));
-        assert!(report.notes[0].contains("replan_latency_rows"));
-        // Only the one section rides ungated at v6.
-        assert!(!report.notes[0].contains("elasticity_rows"));
-    }
-
-    #[test]
-    fn skew_note_enumerates_every_absent_section() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let report = compare(&as_v4(&fresh), &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        for section in [
-            "serving_rows",
-            "elasticity_rows",
-            "replan_latency_rows",
-            "partial_replication_rows",
-        ] {
+        for what in ["whole sweep wall_ms_jobs1", "wall_ms_incremental"] {
             assert!(
-                report.notes[0].contains(section),
-                "note must name {section}: {:?}",
-                report.notes
+                report.warnings.iter().any(|w| w.contains(what)),
+                "{:?}",
+                report.warnings
             );
         }
-        assert!(!report.notes[0].contains("replication_online_rows"));
+        assert!(report.to_markdown().contains("Wall-time regressions"));
+        let mut faster = base.clone();
+        faster.wall_ms_jobs1 /= 2.0;
+        assert!(compare(&base.to_json(), &faster).warnings.is_empty());
     }
 
     #[test]
-    fn v7_baseline_is_accepted_and_note_names_the_partial_section() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v7(&fresh);
-        assert!(old.contains("exflow-bench-summary/v7"));
-        assert!(old.contains("replan_latency_rows"));
-        assert!(!old.contains("partial_replication_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v7"));
-        assert!(report.notes[0].contains("partial_replication_rows"));
-        // Only the one section rides ungated at v7.
-        assert!(!report.notes[0].contains("replan_latency_rows"));
-    }
-
-    #[test]
-    fn partial_cross_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_cross_mass += 1e-12;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("partial_cross_mass drift on partial-replication")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn partial_losing_to_full_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_cross_mass =
-            fresh.partial_replication_rows[0].full_cross_mass + 0.1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("at equal memory")),
-            "{:?}",
-            report.drifts
-        );
-        // The bar also binds against a v7 baseline, where no bit-compare
-        // covers the partial-replication section at all.
-        let report = compare(&as_v7(&base.to_json()), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("at equal memory")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn top2_falling_back_to_owner_only_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].cc_replicas_added = 0;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("fell back to owner-only serving")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn partial_memory_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_extra_copies =
-            fresh.partial_replication_rows[0].replica_slots + 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("partial policy holds")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn partial_migration_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_migrated_bytes =
-            fresh.partial_replication_rows[0].budget_bytes
-                * fresh.partial_replication_rows[0].partial_replans as u64
-                + 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("per-re-plan budget") && d.contains("partial replication")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn repl_extra_copies_drift_fails_only_against_a_v8_baseline() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.elasticity_rows[0].repl_extra_copies += 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("repl_extra_copies drift")),
-            "{:?}",
-            report.drifts
-        );
-        // A v7 baseline has elasticity rows but not the field: the drift
-        // must not misfire as "" vs value.
-        let report = compare(&as_v7(&base.to_json()), &fresh.to_json());
-        assert!(
-            !report
-                .drifts
-                .iter()
-                .any(|d| d.contains("repl_extra_copies")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn replan_counter_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replan_latency_rows[0].evaluated_incremental += 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("evaluated_incremental drift on replan-latency")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn incremental_cross_mass_divergence_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replan_latency_rows[0].cross_mass_incremental += 1e-12;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("diverged from the rebuild")),
-            "{:?}",
-            report.drifts
-        );
-        // The bit-equality bar also binds against a v6 baseline, where
-        // no bit-compare covers the replan-latency section at all.
-        let report = compare(&as_v6(&base.to_json()), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("diverged from the rebuild")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn low_replan_scan_reduction_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        // 8M rebuild vs 4M incremental: only a 2x cut on the 512 cell.
-        fresh.replan_latency_rows[0].evaluated_incremental = 4_000_000;
-        fresh.replan_latency_rows[0].reused = 4_000_000;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("below the")),
-            "{:?}",
-            report.drifts
-        );
-        // The bar also binds against a v6 baseline.
-        let report = compare(&as_v6(&base.to_json()), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("below the")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn replan_missing_preset_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.replan_latency_rows[0].preset = "renamed".into();
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("replan-latency row") && d.contains("missing")),
-            "{:?}",
-            report.drifts
-        );
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
-    }
-
-    #[test]
-    fn online_cross_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.online_rows[0].budgeted_cross += 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("budgeted_cross drift")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn online_missing_scenario_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.online_rows[0].scenario = "renamed".into();
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("missing")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
-    }
-
-    #[test]
-    fn low_online_recovery_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        // static 5000, oracle 3000: budgeted 4000 recovers only 50%.
-        fresh.online_rows[0].budgeted_cross = 4000;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("acceptance bar")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn online_budget_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.online_rows[0].migrated_bytes =
-            fresh.online_rows[0].budget_bytes * fresh.online_rows[0].replans as u64 + 1;
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("per-re-plan budget")),
-            "{:?}",
-            report.drifts
-        );
+    fn each_bar_fails_its_breaking_input() {
+        type Breaks = fn(&mut BenchSummary);
+        let cases: &[(&str, Breaks)] = &[
+            // Dense 15 ms vs sparse 10 ms: only 1.5x on the 512 cell.
+            ("sparse backend speedup at E=512 top-1", |s| {
+                s.sparse_rows[0].wall_ms_dense = 15.0
+            }),
+            // static 5000, oracle 3000: budgeted 4000 recovers only 50%.
+            ("online recovery", |s| {
+                s.online_rows[0].budgeted_cross = 4000
+            }),
+            ("online migration budget", |s| {
+                let r = &mut s.online_rows[0];
+                r.migrated_bytes = r.budget_bytes * r.replans as u64 + 1;
+            }),
+            ("replication memory budget", |s| {
+                let r = &mut s.replication_online_rows[0];
+                r.extra_copies = r.replica_slots + 1;
+            }),
+            ("replication migration budget", |s| {
+                let r = &mut s.replication_online_rows[0];
+                r.joint_migrated_bytes = r.budget_bytes * r.joint_replans as u64 + 1;
+            }),
+            ("joint policy never loses to owner moves", |s| {
+                let r = &mut s.replication_online_rows[0];
+                r.joint_cross = r.owner_cross + 100;
+            }),
+            ("joint policy beats owner moves somewhere", |s| {
+                let r = &mut s.replication_online_rows[0];
+                r.joint_cross = r.owner_cross;
+            }),
+            ("serving p99 never above static", |s| {
+                let r = &mut s.serving_rows[0];
+                r.online_p99 = r.static_p99 + 1.0;
+            }),
+            ("serving goodput within offered load", |s| {
+                let r = &mut s.serving_rows[0];
+                r.repl_goodput = r.offered_load * 2.0;
+            }),
+            // Never recovering at all.
+            ("replicated fleet recovers strictly faster", |s| {
+                s.elasticity_rows[0].repl_recovery = -1.0
+            }),
+            ("failover saves wire traffic", |s| {
+                let r = &mut s.elasticity_rows[0];
+                r.repl_emergency_bytes = r.plain_emergency_bytes;
+            }),
+            ("incremental re-plan is bit-identical to rebuild", |s| {
+                s.replan_latency_rows[0].cross_mass_incremental += 1e-12
+            }),
+            // 8M rebuild vs 4M incremental: only a 2x cut on the 512 cell.
+            ("re-plan scan reduction at E=512", |s| {
+                s.replan_latency_rows[0].evaluated_incremental = 4_000_000
+            }),
+            (
+                "partial replication never loses to full at equal memory",
+                |s| {
+                    let r = &mut s.partial_replication_rows[0];
+                    r.partial_cross_mass = r.full_cross_mass + 0.1;
+                },
+            ),
+            ("partial replication memory budget", |s| {
+                let r = &mut s.partial_replication_rows[0];
+                r.partial_extra_copies = r.replica_slots + 1;
+            }),
+            ("partial replication migration budget", |s| {
+                let r = &mut s.partial_replication_rows[0];
+                r.partial_migrated_bytes = r.budget_bytes * r.partial_replans as u64 + 1;
+            }),
+            ("a top-2 CC row places replicas", |s| {
+                s.partial_replication_rows[0].cc_replicas_added = 0
+            }),
+        ];
+        let names: Vec<&str> = cases.iter().map(|(name, _)| *name).collect();
+        let bars: Vec<&str> = BARS.iter().map(|(bar, _)| *bar).collect();
+        assert_eq!(names, bars, "one breaking case per bar, in table order");
+        let baseline = fixture().to_json();
+        for (name, breaks) in cases {
+            let mut fresh = fixture();
+            breaks(&mut fresh);
+            let report = compare(&baseline, &fresh);
+            assert!(
+                report
+                    .drifts
+                    .iter()
+                    .any(|d| d.starts_with(&format!("acceptance bar '{name}' fails"))),
+                "{name}: {:?}",
+                report.drifts
+            );
+        }
     }
 }

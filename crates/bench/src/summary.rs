@@ -64,9 +64,12 @@
 //!
 //! Quality numbers in `BENCH_*.json` are deterministic facts (the CI
 //! perf-gate compares them bit for bit against the committed baseline);
-//! timing numbers are machine-dependent measurements. The schema
-//! (`exflow-bench-summary/v8`) keeps them apart.
+//! timing numbers are machine-dependent measurements. Each row struct
+//! declares every field once — name, value with its print form, and gate
+//! role — and one emitter prints the [`SCHEMA`] document from those
+//! declarations, so the emitter and the gate cannot disagree on a field.
 
+use std::fmt;
 use std::time::Instant;
 
 use exflow_affinity::{RoutingTrace, SparseAffinity, StreamingAffinity};
@@ -96,6 +99,12 @@ use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
 use crate::sweep::{par_map, SweepPool};
 use crate::Scale;
+use Role::{Bit, Info, Key, Wall};
+use Value::{Bool, Fixed, Float, Int, Str};
+
+/// Schema tag of every emitted summary document; the perf-gate reads
+/// baselines of this version only.
+pub const SCHEMA: &str = "exflow-bench-summary/v8";
 
 /// GPUs each Table II instance is solved for (divides every Table II
 /// expert count).
@@ -240,6 +249,53 @@ const REPLAN_LATENCY_TOKENS: (usize, usize) = (800, 2400);
 /// successor (CSR-row) and predecessor (CSC-column) invalidation paths.
 const REPLAN_LATENCY_LAYERS: usize = 2;
 
+/// How the perf-gate treats one field of the summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Identifies its row: baseline and fresh rows are matched on these.
+    Key,
+    /// A deterministic fact, compared bit for bit against the baseline.
+    Bit,
+    /// A machine-dependent wall time: regressions only warn.
+    Wall,
+    /// Context or a derived figure, never compared.
+    Info,
+}
+
+/// One field's value together with its print form.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Value {
+    /// A quoted string.
+    Str(String),
+    /// An integer.
+    Int(u64),
+    /// A float in shortest round-trip form: the printed token is the bits,
+    /// so string equality is bit equality.
+    Float(f64),
+    /// A float with this many fixed decimals.
+    Fixed(f64, usize),
+    /// A boolean.
+    Bool(bool),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Str(s) => write!(f, "\"{s}\""),
+            Int(n) => write!(f, "{n}"),
+            Float(x) => write!(f, "{x}"),
+            Fixed(x, decimals) => write!(f, "{x:.decimals$}"),
+            Bool(b) => write!(f, "{b}"),
+        }
+    }
+}
+
+/// One declared field: its JSON name, value and gate role.
+pub(crate) type Field = (&'static str, Value, Role);
+
+/// One array section: its JSON name and every row's declared fields.
+pub(crate) type Section = (&'static str, Vec<Vec<Field>>);
+
 /// One (model, solver) measurement.
 #[derive(Debug, Clone)]
 pub struct BenchRow {
@@ -253,6 +309,17 @@ pub struct BenchRow {
     /// Achieved objective: expected cross-unit transition mass (lower is
     /// better; bit-identical across thread counts).
     pub cross_mass: f64,
+}
+
+impl BenchRow {
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("model", Str(self.model.clone()), Key),
+            ("solver", Str(self.solver.clone()), Key),
+            ("wall_ms", Fixed(self.wall_ms, 3), Wall),
+            ("cross_mass", Float(self.cross_mass), Bit),
+        ]
+    }
 }
 
 /// One `table_sparse` cell: a large-expert instance solved on both
@@ -289,6 +356,21 @@ impl SparseBenchRow {
             return 0.0;
         }
         self.wall_ms_dense / self.wall_ms_sparse
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("preset", Str(self.preset.clone()), Key),
+            ("experts", Int(self.n_experts as u64), Info),
+            ("k", Int(self.k as u64), Info),
+            ("layers", Int(self.layers as u64), Info),
+            ("nnz", Int(self.nnz as u64), Bit),
+            ("density", Fixed(self.density, 6), Info),
+            ("wall_ms_dense", Fixed(self.wall_ms_dense, 3), Wall),
+            ("wall_ms_sparse", Fixed(self.wall_ms_sparse, 3), Wall),
+            ("speedup", Fixed(self.speedup(), 3), Info),
+            ("cross_mass", Float(self.cross_mass), Bit),
+        ]
     }
 }
 
@@ -335,6 +417,24 @@ impl OnlineBenchRow {
         }
         (self.static_cross as f64 - self.budgeted_cross as f64)
             / (self.static_cross as f64 - self.oracle_cross as f64)
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("scenario", Str(self.scenario.clone()), Key),
+            ("experts", Int(self.n_experts as u64), Info),
+            ("layers", Int(self.layers as u64), Info),
+            ("windows", Int(self.windows as u64), Info),
+            ("replan_every", Int(self.replan_every as u64), Info),
+            ("budget_bytes", Int(self.budget_bytes), Info),
+            ("migrated_bytes", Int(self.migrated_bytes), Bit),
+            ("replans", Int(self.replans as u64), Info),
+            ("static_cross", Int(self.static_cross), Bit),
+            ("oracle_cross", Int(self.oracle_cross), Bit),
+            ("budgeted_cross", Int(self.budgeted_cross), Bit),
+            ("recovery", Fixed(self.recovery(), 4), Info),
+            ("cross_mass", Float(self.cross_mass), Bit),
+        ]
     }
 }
 
@@ -412,11 +512,37 @@ impl ReplicationOnlineRow {
     pub fn joint_recovery(&self) -> f64 {
         self.locality_recovery(self.joint_cross)
     }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("scenario", Str(self.scenario.clone()), Key),
+            ("experts", Int(self.n_experts as u64), Info),
+            ("layers", Int(self.layers as u64), Info),
+            ("units", Int(self.units as u64), Info),
+            ("windows", Int(self.windows as u64), Info),
+            ("replan_every", Int(self.replan_every as u64), Info),
+            ("budget_bytes", Int(self.budget_bytes), Info),
+            ("replica_slots", Int(self.replica_slots), Info),
+            ("owner_migrated_bytes", Int(self.owner_migrated_bytes), Bit),
+            ("joint_migrated_bytes", Int(self.joint_migrated_bytes), Bit),
+            ("owner_replans", Int(self.owner_replans as u64), Info),
+            ("joint_replans", Int(self.joint_replans as u64), Info),
+            ("replicas_added", Int(self.replicas_added), Bit),
+            ("replicas_dropped", Int(self.replicas_dropped), Bit),
+            ("extra_copies", Int(self.extra_copies), Bit),
+            ("static_cross", Int(self.static_cross), Bit),
+            ("owner_cross", Int(self.owner_cross), Bit),
+            ("joint_cross", Int(self.joint_cross), Bit),
+            ("owner_recovery", Fixed(self.owner_recovery(), 4), Info),
+            ("joint_recovery", Fixed(self.joint_recovery(), 4), Info),
+            ("cross_mass", Float(self.cross_mass), Bit),
+        ]
+    }
 }
 
 /// One `table_serving` cell: one arrival process (Poisson / diurnal /
 /// flash-crowd) served end-to-end through the request-level front-end
-/// (`InferenceEngine::run_serving`) under three placement policies —
+/// (a `Scenario` with `with_serving`) under three placement policies —
 /// static incumbent, budgeted-online re-placement, and replication-aware
 /// re-placement. Latencies, goodput, and offered load are virtual-time
 /// facts (bit-identical across thread counts and gap backends — verified
@@ -478,6 +604,36 @@ impl ServingBenchRow {
         }
         self.static_p99 / p99
     }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("arrival", Str(self.arrival.clone()), Key),
+            ("requests", Int(self.requests as u64), Info),
+            ("decode_steps", Int(self.decode_steps as u64), Info),
+            ("windows", Int(self.windows as u64), Info),
+            ("max_batch", Int(self.max_batch as u64), Info),
+            ("offered_load", Float(self.offered_load), Bit),
+            ("static_p50", Float(self.static_p50), Bit),
+            ("static_p95", Float(self.static_p95), Bit),
+            ("static_p99", Float(self.static_p99), Bit),
+            ("static_goodput", Float(self.static_goodput), Bit),
+            ("online_p50", Float(self.online_p50), Bit),
+            ("online_p95", Float(self.online_p95), Bit),
+            ("online_p99", Float(self.online_p99), Bit),
+            ("online_goodput", Float(self.online_goodput), Bit),
+            ("online_replans", Int(self.online_replans), Bit),
+            (
+                "online_migrated_bytes",
+                Int(self.online_migrated_bytes),
+                Bit,
+            ),
+            ("repl_p50", Float(self.repl_p50), Bit),
+            ("repl_p95", Float(self.repl_p95), Bit),
+            ("repl_p99", Float(self.repl_p99), Bit),
+            ("repl_goodput", Float(self.repl_goodput), Bit),
+            ("repl_replicas_added", Int(self.repl_replicas_added), Bit),
+        ]
+    }
 }
 
 /// One `table_elasticity` cell: the same arrival sample served through
@@ -536,6 +692,29 @@ impl ElasticityRow {
     pub fn replication_recovers_faster(&self) -> bool {
         self.repl_recovery >= 0.0
             && (self.plain_recovery < 0.0 || self.repl_recovery < self.plain_recovery)
+    }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("fault", Str(self.fault.clone()), Key),
+            ("requests", Int(self.requests as u64), Info),
+            ("fault_time", Float(self.fault_time), Bit),
+            ("plain_p99", Float(self.plain_p99), Bit),
+            ("plain_disrupted", Int(self.plain_disrupted), Bit),
+            ("plain_steps_degraded", Int(self.plain_steps_degraded), Bit),
+            (
+                "plain_emergency_bytes",
+                Int(self.plain_emergency_bytes),
+                Bit,
+            ),
+            ("plain_recovery", Float(self.plain_recovery), Bit),
+            ("repl_p99", Float(self.repl_p99), Bit),
+            ("repl_disrupted", Int(self.repl_disrupted), Bit),
+            ("repl_steps_degraded", Int(self.repl_steps_degraded), Bit),
+            ("repl_emergency_bytes", Int(self.repl_emergency_bytes), Bit),
+            ("repl_recovery", Float(self.repl_recovery), Bit),
+            ("repl_extra_copies", Int(self.repl_extra_copies), Bit),
+        ]
     }
 }
 
@@ -602,6 +781,34 @@ impl PartialReplicationRow {
     pub fn partial_never_loses(&self) -> bool {
         self.partial_cross_mass <= self.full_cross_mass
     }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("scenario", Str(self.scenario.clone()), Key),
+            ("experts", Int(self.n_experts as u64), Info),
+            ("k", Int(self.k as u64), Info),
+            ("layers", Int(self.layers as u64), Info),
+            ("units", Int(self.units as u64), Info),
+            ("windows", Int(self.windows as u64), Info),
+            ("replica_slots", Int(self.replica_slots), Info),
+            ("budget_bytes", Int(self.budget_bytes), Info),
+            ("partial_replans", Int(self.partial_replans as u64), Bit),
+            ("replicas_added", Int(self.replicas_added), Bit),
+            (
+                "partial_migrated_bytes",
+                Int(self.partial_migrated_bytes),
+                Bit,
+            ),
+            ("full_migrated_bytes", Int(self.full_migrated_bytes), Bit),
+            ("partial_extra_copies", Int(self.partial_extra_copies), Bit),
+            ("full_extra_copies", Int(self.full_extra_copies), Bit),
+            ("partial_cross_mass", Float(self.partial_cross_mass), Bit),
+            ("full_cross_mass", Float(self.full_cross_mass), Bit),
+            ("realized_cross", Int(self.realized_cross), Bit),
+            ("cc_replicas_added", Int(self.cc_replicas_added), Bit),
+            ("cc_local_fraction", Fixed(self.cc_local_fraction, 6), Bit),
+        ]
+    }
 }
 
 /// One `table_replan_latency` cell: a large-expert drift scenario
@@ -664,6 +871,39 @@ impl ReplanLatencyRow {
         }
         self.evaluated_rebuild as f64 / self.evaluated_incremental as f64
     }
+
+    fn fields(&self) -> Vec<Field> {
+        vec![
+            ("preset", Str(self.preset.clone()), Key),
+            ("experts", Int(self.n_experts as u64), Info),
+            ("k", Int(self.k as u64), Info),
+            ("layers", Int(self.layers as u64), Info),
+            ("windows", Int(self.windows as u64), Info),
+            ("replans", Int(self.replans as u64), Bit),
+            ("max_moves", Int(self.max_moves), Info),
+            ("considered", Int(self.considered), Bit),
+            ("evaluated_rebuild", Int(self.evaluated_rebuild), Bit),
+            (
+                "evaluated_incremental",
+                Int(self.evaluated_incremental),
+                Bit,
+            ),
+            ("reused", Int(self.reused), Bit),
+            ("scan_reduction", Fixed(self.scan_reduction(), 3), Info),
+            ("wall_ms_rebuild", Fixed(self.wall_ms_rebuild, 3), Wall),
+            (
+                "wall_ms_incremental",
+                Fixed(self.wall_ms_incremental, 3),
+                Wall,
+            ),
+            ("cross_mass_rebuild", Float(self.cross_mass_rebuild), Bit),
+            (
+                "cross_mass_incremental",
+                Float(self.cross_mass_incremental),
+                Bit,
+            ),
+        ]
+    }
 }
 
 /// The full benchmark result.
@@ -711,224 +951,93 @@ impl BenchSummary {
         self.wall_ms_jobs1 / self.wall_ms_jobs_n
     }
 
-    /// Serialize as the `exflow-bench-summary/v8` schema (see README).
-    /// Hand-rolled: the workspace builds offline, so no serde. Objectives
-    /// and serving latencies are printed with Rust's shortest round-trip
-    /// float formatting, so string equality in the JSON is bit equality
-    /// of the f64 — what the CI perf-gate compares.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"exflow-bench-summary/v8\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"wall_ms_jobs1\": {:.3},\n",
-            self.wall_ms_jobs1
-        ));
-        out.push_str(&format!(
-            "  \"wall_ms_jobsN\": {:.3},\n",
-            self.wall_ms_jobs_n
-        ));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", self.speedup()));
-        out.push_str("  \"objectives_bit_identical_across_jobs\": true,\n");
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"model\": \"{}\", \"solver\": \"{}\", \"wall_ms\": {:.3}, \"cross_mass\": {}}}{}\n",
-                row.model,
-                row.solver,
-                row.wall_ms,
-                row.cross_mass,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"sparse_rows\": [\n");
-        for (i, row) in self.sparse_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"preset\": \"{}\", \"experts\": {}, \"k\": {}, \"layers\": {}, \"nnz\": {}, \"density\": {:.6}, \"wall_ms_dense\": {:.3}, \"wall_ms_sparse\": {:.3}, \"speedup\": {:.3}, \"cross_mass\": {}}}{}\n",
-                row.preset,
-                row.n_experts,
-                row.k,
-                row.layers,
-                row.nnz,
-                row.density,
-                row.wall_ms_dense,
-                row.wall_ms_sparse,
-                row.speedup(),
-                row.cross_mass,
-                if i + 1 == self.sparse_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"online_rows\": [\n");
-        for (i, row) in self.online_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"experts\": {}, \"layers\": {}, \"windows\": {}, \"replan_every\": {}, \"budget_bytes\": {}, \"migrated_bytes\": {}, \"replans\": {}, \"static_cross\": {}, \"oracle_cross\": {}, \"budgeted_cross\": {}, \"recovery\": {:.4}, \"cross_mass\": {}}}{}\n",
-                row.scenario,
-                row.n_experts,
-                row.layers,
-                row.windows,
-                row.replan_every,
-                row.budget_bytes,
-                row.migrated_bytes,
-                row.replans,
-                row.static_cross,
-                row.oracle_cross,
-                row.budgeted_cross,
-                row.recovery(),
-                row.cross_mass,
-                if i + 1 == self.online_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"replication_online_rows\": [\n");
-        for (i, row) in self.replication_online_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"experts\": {}, \"layers\": {}, \"units\": {}, \"windows\": {}, \"replan_every\": {}, \"budget_bytes\": {}, \"replica_slots\": {}, \"owner_migrated_bytes\": {}, \"joint_migrated_bytes\": {}, \"owner_replans\": {}, \"joint_replans\": {}, \"replicas_added\": {}, \"replicas_dropped\": {}, \"extra_copies\": {}, \"static_cross\": {}, \"owner_cross\": {}, \"joint_cross\": {}, \"owner_recovery\": {:.4}, \"joint_recovery\": {:.4}, \"cross_mass\": {}}}{}\n",
-                row.scenario,
-                row.n_experts,
-                row.layers,
-                row.units,
-                row.windows,
-                row.replan_every,
-                row.budget_bytes,
-                row.replica_slots,
-                row.owner_migrated_bytes,
-                row.joint_migrated_bytes,
-                row.owner_replans,
-                row.joint_replans,
-                row.replicas_added,
-                row.replicas_dropped,
-                row.extra_copies,
-                row.static_cross,
-                row.owner_cross,
-                row.joint_cross,
-                row.owner_recovery(),
-                row.joint_recovery(),
-                row.cross_mass,
-                if i + 1 == self.replication_online_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"serving_rows\": [\n");
-        for (i, row) in self.serving_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arrival\": \"{}\", \"requests\": {}, \"decode_steps\": {}, \"windows\": {}, \"max_batch\": {}, \"offered_load\": {}, \"static_p50\": {}, \"static_p95\": {}, \"static_p99\": {}, \"static_goodput\": {}, \"online_p50\": {}, \"online_p95\": {}, \"online_p99\": {}, \"online_goodput\": {}, \"online_replans\": {}, \"online_migrated_bytes\": {}, \"repl_p50\": {}, \"repl_p95\": {}, \"repl_p99\": {}, \"repl_goodput\": {}, \"repl_replicas_added\": {}}}{}\n",
-                row.arrival,
-                row.requests,
-                row.decode_steps,
-                row.windows,
-                row.max_batch,
-                row.offered_load,
-                row.static_p50,
-                row.static_p95,
-                row.static_p99,
-                row.static_goodput,
-                row.online_p50,
-                row.online_p95,
-                row.online_p99,
-                row.online_goodput,
-                row.online_replans,
-                row.online_migrated_bytes,
-                row.repl_p50,
-                row.repl_p95,
-                row.repl_p99,
-                row.repl_goodput,
-                row.repl_replicas_added,
-                if i + 1 == self.serving_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"elasticity_rows\": [\n");
-        for (i, row) in self.elasticity_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"fault\": \"{}\", \"requests\": {}, \"fault_time\": {}, \"plain_p99\": {}, \"plain_disrupted\": {}, \"plain_steps_degraded\": {}, \"plain_emergency_bytes\": {}, \"plain_recovery\": {}, \"repl_p99\": {}, \"repl_disrupted\": {}, \"repl_steps_degraded\": {}, \"repl_emergency_bytes\": {}, \"repl_recovery\": {}, \"repl_extra_copies\": {}}}{}\n",
-                row.fault,
-                row.requests,
-                row.fault_time,
-                row.plain_p99,
-                row.plain_disrupted,
-                row.plain_steps_degraded,
-                row.plain_emergency_bytes,
-                row.plain_recovery,
-                row.repl_p99,
-                row.repl_disrupted,
-                row.repl_steps_degraded,
-                row.repl_emergency_bytes,
-                row.repl_recovery,
-                row.repl_extra_copies,
-                if i + 1 == self.elasticity_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"replan_latency_rows\": [\n");
-        for (i, row) in self.replan_latency_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"preset\": \"{}\", \"experts\": {}, \"k\": {}, \"layers\": {}, \"windows\": {}, \"replans\": {}, \"max_moves\": {}, \"considered\": {}, \"evaluated_rebuild\": {}, \"evaluated_incremental\": {}, \"reused\": {}, \"scan_reduction\": {:.3}, \"wall_ms_rebuild\": {:.3}, \"wall_ms_incremental\": {:.3}, \"cross_mass_rebuild\": {}, \"cross_mass_incremental\": {}}}{}\n",
-                row.preset,
-                row.n_experts,
-                row.k,
-                row.layers,
-                row.windows,
-                row.replans,
-                row.max_moves,
-                row.considered,
-                row.evaluated_rebuild,
-                row.evaluated_incremental,
-                row.reused,
-                row.scan_reduction(),
-                row.wall_ms_rebuild,
-                row.wall_ms_incremental,
-                row.cross_mass_rebuild,
-                row.cross_mass_incremental,
-                if i + 1 == self.replan_latency_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"partial_replication_rows\": [\n");
-        for (i, row) in self.partial_replication_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"experts\": {}, \"k\": {}, \"layers\": {}, \"units\": {}, \"windows\": {}, \"replica_slots\": {}, \"budget_bytes\": {}, \"partial_replans\": {}, \"replicas_added\": {}, \"partial_migrated_bytes\": {}, \"full_migrated_bytes\": {}, \"partial_extra_copies\": {}, \"full_extra_copies\": {}, \"partial_cross_mass\": {}, \"full_cross_mass\": {}, \"realized_cross\": {}, \"cc_replicas_added\": {}, \"cc_local_fraction\": {:.6}}}{}\n",
-                row.scenario,
-                row.n_experts,
-                row.k,
-                row.layers,
-                row.units,
-                row.windows,
-                row.replica_slots,
-                row.budget_bytes,
-                row.partial_replans,
-                row.replicas_added,
-                row.partial_migrated_bytes,
-                row.full_migrated_bytes,
-                row.partial_extra_copies,
-                row.full_extra_copies,
-                row.partial_cross_mass,
-                row.full_cross_mass,
-                row.realized_cross,
-                row.cc_replicas_added,
-                row.cc_local_fraction,
-                if i + 1 == self.partial_replication_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+    /// The document-level fields, printed one per line after the schema.
+    pub(crate) fn header(&self) -> Vec<Field> {
+        vec![
+            ("seed", Int(self.seed), Info),
+            ("scale", Str(self.scale.clone()), Info),
+            ("jobs", Int(self.jobs as u64), Info),
+            ("wall_ms_jobs1", Fixed(self.wall_ms_jobs1, 3), Wall),
+            ("wall_ms_jobsN", Fixed(self.wall_ms_jobs_n, 3), Wall),
+            ("speedup", Fixed(self.speedup(), 3), Info),
+            ("objectives_bit_identical_across_jobs", Bool(true), Info),
+        ]
     }
+
+    /// Every array section of the document, in print order.
+    pub(crate) fn sections(&self) -> Vec<Section> {
+        fn rows<R>(rows: &[R], fields: fn(&R) -> Vec<Field>) -> Vec<Vec<Field>> {
+            rows.iter().map(fields).collect()
+        }
+        vec![
+            ("rows", rows(&self.rows, BenchRow::fields)),
+            (
+                "sparse_rows",
+                rows(&self.sparse_rows, SparseBenchRow::fields),
+            ),
+            (
+                "online_rows",
+                rows(&self.online_rows, OnlineBenchRow::fields),
+            ),
+            (
+                "replication_online_rows",
+                rows(&self.replication_online_rows, ReplicationOnlineRow::fields),
+            ),
+            (
+                "serving_rows",
+                rows(&self.serving_rows, ServingBenchRow::fields),
+            ),
+            (
+                "elasticity_rows",
+                rows(&self.elasticity_rows, ElasticityRow::fields),
+            ),
+            (
+                "replan_latency_rows",
+                rows(&self.replan_latency_rows, ReplanLatencyRow::fields),
+            ),
+            (
+                "partial_replication_rows",
+                rows(
+                    &self.partial_replication_rows,
+                    PartialReplicationRow::fields,
+                ),
+            ),
+        ]
+    }
+
+    /// Serialize as the [`SCHEMA`] document (see README).
+    pub fn to_json(&self) -> String {
+        emit(&self.header(), &self.sections())
+    }
+}
+
+/// Print a summary document: the schema line, the header fields one per
+/// line, then each section as an array of one-line row objects — the
+/// line-oriented shape the perf-gate's reader relies on.
+pub(crate) fn emit(header: &[Field], sections: &[Section]) -> String {
+    let mut out = String::with_capacity(8192);
+    out.push_str(&format!("{{\n  \"schema\": \"{SCHEMA}\",\n"));
+    for (name, value, _) in header {
+        out.push_str(&format!("  \"{name}\": {value},\n"));
+    }
+    for (s, (section, rows)) in sections.iter().enumerate() {
+        out.push_str(&format!("  \"{section}\": [\n"));
+        for (i, row) in rows.iter().enumerate() {
+            let body: Vec<String> = row
+                .iter()
+                .map(|(name, value, _)| format!("\"{name}\": {value}"))
+                .collect();
+            let comma = if i + 1 == rows.len() { "" } else { "," };
+            out.push_str(&format!("    {{{}}}{comma}\n", body.join(", ")));
+        }
+        out.push_str(if s + 1 == sections.len() {
+            "  ]\n"
+        } else {
+            "  ],\n"
+        });
+    }
+    out.push_str("}\n");
+    out
 }
 
 /// The solver roster the Table II benchmark times, sized by scale.
@@ -1472,7 +1581,7 @@ pub fn replication_online_table(
 
 /// Build one serving engine. All policies share the model, cluster, and
 /// master seed, so the profiled incumbent placement — and, downstream,
-/// the arrival sample and per-request routing draws of `run_serving` —
+/// the arrival sample and per-request routing draws of a serving run —
 /// are identical across policies; only the re-placement behavior differs.
 fn serving_engine(
     layers: usize,
@@ -2308,7 +2417,7 @@ pub fn run(scale: Scale, jobs: usize, seed: u64) -> Result<BenchSummary, String>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -2508,68 +2617,69 @@ mod tests {
         assert!(saw_512, "the quick sweep must cover E = 512");
     }
 
-    #[test]
-    fn json_has_schema_and_balanced_braces() {
-        let summary = BenchSummary {
+    /// The hand-built summary the emitter and perf-gate tests share: one
+    /// row per section, every print form, every acceptance bar holding.
+    pub(crate) fn fixture() -> BenchSummary {
+        BenchSummary {
             seed: 1,
-            scale: "quick".to_string(),
+            scale: "quick".into(),
             jobs: 4,
             wall_ms_jobs1: 100.0,
-            wall_ms_jobs_n: 40.0,
+            wall_ms_jobs_n: 50.0,
             rows: vec![BenchRow {
-                model: "MoE-GPT-M/8e-24L".to_string(),
-                solver: "greedy".to_string(),
-                wall_ms: 1.5,
+                model: "MoE-GPT-M/8e-24L".into(),
+                solver: "greedy".into(),
+                wall_ms: 10.0,
                 cross_mass: 0.25,
             }],
             sparse_rows: vec![SparseBenchRow {
-                preset: "MoE-GPT-XXL/256e-24L-top1".to_string(),
-                n_experts: 256,
+                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
+                n_experts: 512,
                 k: 1,
                 layers: 2,
-                nnz: 2600,
-                density: 0.0397,
-                wall_ms_dense: 80.0,
-                wall_ms_sparse: 8.0,
-                cross_mass: 0.75,
+                nnz: 3000,
+                density: 0.011,
+                wall_ms_dense: 100.0,
+                wall_ms_sparse: 10.0,
+                cross_mass: 0.25 / 2.0,
             }],
             online_rows: vec![OnlineBenchRow {
-                scenario: "piecewise-2phase".to_string(),
+                scenario: "piecewise-2phase".into(),
                 n_experts: 16,
                 layers: 5,
                 windows: 6,
                 replan_every: 1,
-                budget_bytes: 16 << 24,
-                migrated_bytes: 10 << 24,
+                budget_bytes: 1 << 28,
+                migrated_bytes: 3 << 27,
                 replans: 3,
                 static_cross: 5000,
                 oracle_cross: 3000,
-                budgeted_cross: 3400,
-                cross_mass: 1.25,
+                budgeted_cross: 3200,
+                cross_mass: 0.25 / 3.0,
             }],
             replication_online_rows: vec![ReplicationOnlineRow {
-                scenario: "piecewise-2phase/E16".to_string(),
+                scenario: "piecewise-2phase/E16".into(),
                 n_experts: 16,
                 layers: 5,
-                windows: 10,
                 units: 4,
+                windows: 10,
                 replan_every: 1,
-                budget_bytes: 16 << 24,
+                budget_bytes: 1 << 26,
                 replica_slots: 8,
-                owner_migrated_bytes: 9 << 24,
-                joint_migrated_bytes: 8 << 24,
-                owner_replans: 4,
-                joint_replans: 4,
-                replicas_added: 6,
-                replicas_dropped: 2,
+                owner_migrated_bytes: 3 << 25,
+                joint_migrated_bytes: 1 << 26,
+                owner_replans: 2,
+                joint_replans: 2,
+                replicas_added: 5,
+                replicas_dropped: 1,
                 extra_copies: 4,
                 static_cross: 5000,
                 owner_cross: 3600,
                 joint_cross: 3100,
-                cross_mass: 1.5,
+                cross_mass: 0.25 / 4.0,
             }],
             serving_rows: vec![ServingBenchRow {
-                arrival: "flash-crowd".to_string(),
+                arrival: "poisson".into(),
                 requests: 48,
                 decode_steps: 2,
                 windows: 6,
@@ -2592,7 +2702,7 @@ mod tests {
                 repl_replicas_added: 3,
             }],
             elasticity_rows: vec![ElasticityRow {
-                fault: "gpu1-loss".to_string(),
+                fault: "gpu-loss".into(),
                 requests: 500,
                 fault_time: 12.5,
                 plain_p99: 60.0,
@@ -2608,24 +2718,24 @@ mod tests {
                 repl_extra_copies: 6,
             }],
             replan_latency_rows: vec![ReplanLatencyRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".to_string(),
+                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
                 n_experts: 512,
                 k: 1,
                 layers: 2,
                 windows: 4,
                 replans: 3,
-                max_moves: 24,
+                max_moves: 40,
                 considered: 8_000_000,
                 evaluated_rebuild: 8_000_000,
                 evaluated_incremental: 1_000_000,
                 reused: 7_000_000,
                 wall_ms_rebuild: 900.0,
                 wall_ms_incremental: 120.0,
-                cross_mass_rebuild: 0.625,
-                cross_mass_incremental: 0.625,
+                cross_mass_rebuild: 0.25 / 5.0,
+                cross_mass_incremental: 0.25 / 5.0,
             }],
             partial_replication_rows: vec![PartialReplicationRow {
-                scenario: "partial-repl/256e-top2".to_string(),
+                scenario: "partial-repl/256e-top2".into(),
                 n_experts: 256,
                 k: 2,
                 layers: 2,
@@ -2639,45 +2749,56 @@ mod tests {
                 full_migrated_bytes: 9 << 20,
                 partial_extra_copies: 3,
                 full_extra_copies: 4,
-                partial_cross_mass: 0.375,
-                full_cross_mass: 0.5,
+                partial_cross_mass: 0.25 / 6.0,
+                full_cross_mass: 0.25 / 5.0,
                 realized_cross: 1234,
                 cc_replicas_added: 2,
                 cc_local_fraction: 0.875,
             }],
-        };
-        let json = summary.to_json();
-        assert!(json.contains("\"schema\": \"exflow-bench-summary/v8\""));
-        assert!(json.contains("\"speedup\": 2.500"));
-        assert!(json.contains("\"speedup\": 10.000"));
-        assert!(json.contains("\"cross_mass\": 0.25"));
-        assert!(json.contains("\"recovery\": 0.8000"));
-        assert!(json.contains("\"budgeted_cross\": 3400"));
-        assert!(json.contains("\"joint_cross\": 3100"));
-        // (5000 - 3600) / 5000 and (5000 - 3100) / 5000, 4 decimals.
-        assert!(json.contains("\"owner_recovery\": 0.2800"));
-        assert!(json.contains("\"joint_recovery\": 0.3800"));
-        // Serving latencies print with shortest round-trip formatting.
-        assert!(json.contains("\"arrival\": \"flash-crowd\""));
-        assert!(json.contains("\"static_p99\": 52"));
-        assert!(json.contains("\"online_goodput\": 0.12,"));
-        assert!(json.contains("\"fault\": \"gpu1-loss\""));
-        assert!(json.contains("\"repl_emergency_bytes\": 0"));
-        assert!(json.contains("\"repl_recovery\": 1.5"));
-        // 8M rebuild evals over 1M incremental, 3 decimals.
-        assert!(json.contains("\"scan_reduction\": 8.000"));
-        assert!(json.contains("\"evaluated_incremental\": 1000000"));
-        assert!(json.contains("\"cross_mass_incremental\": 0.625"));
-        assert!(json.contains("\"scenario\": \"partial-repl/256e-top2\""));
-        assert!(json.contains("\"partial_cross_mass\": 0.375"));
-        assert!(json.contains("\"cc_local_fraction\": 0.875000"));
-        assert!(json.contains("\"repl_extra_copies\": 6"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON:\n{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        }
+    }
+
+    /// [`fixture`] as the hand-written per-section emitter printed it
+    /// before the field declarations replaced it.
+    const FIXTURE_JSON: &str = r#"{
+  "schema": "exflow-bench-summary/v8",
+  "seed": 1,
+  "scale": "quick",
+  "jobs": 4,
+  "wall_ms_jobs1": 100.000,
+  "wall_ms_jobsN": 50.000,
+  "speedup": 2.000,
+  "objectives_bit_identical_across_jobs": true,
+  "rows": [
+    {"model": "MoE-GPT-M/8e-24L", "solver": "greedy", "wall_ms": 10.000, "cross_mass": 0.25}
+  ],
+  "sparse_rows": [
+    {"preset": "MoE-GPT-XXL/512e-24L-top1", "experts": 512, "k": 1, "layers": 2, "nnz": 3000, "density": 0.011000, "wall_ms_dense": 100.000, "wall_ms_sparse": 10.000, "speedup": 10.000, "cross_mass": 0.125}
+  ],
+  "online_rows": [
+    {"scenario": "piecewise-2phase", "experts": 16, "layers": 5, "windows": 6, "replan_every": 1, "budget_bytes": 268435456, "migrated_bytes": 402653184, "replans": 3, "static_cross": 5000, "oracle_cross": 3000, "budgeted_cross": 3200, "recovery": 0.9000, "cross_mass": 0.08333333333333333}
+  ],
+  "replication_online_rows": [
+    {"scenario": "piecewise-2phase/E16", "experts": 16, "layers": 5, "units": 4, "windows": 10, "replan_every": 1, "budget_bytes": 67108864, "replica_slots": 8, "owner_migrated_bytes": 100663296, "joint_migrated_bytes": 67108864, "owner_replans": 2, "joint_replans": 2, "replicas_added": 5, "replicas_dropped": 1, "extra_copies": 4, "static_cross": 5000, "owner_cross": 3600, "joint_cross": 3100, "owner_recovery": 0.2800, "joint_recovery": 0.3800, "cross_mass": 0.0625}
+  ],
+  "serving_rows": [
+    {"arrival": "poisson", "requests": 48, "decode_steps": 2, "windows": 6, "max_batch": 8, "offered_load": 0.125, "static_p50": 20, "static_p95": 44, "static_p99": 52, "static_goodput": 0.115, "online_p50": 18, "online_p95": 34, "online_p99": 40, "online_goodput": 0.12, "online_replans": 2, "online_migrated_bytes": 9437184, "repl_p50": 17.5, "repl_p95": 33, "repl_p99": 39, "repl_goodput": 0.121, "repl_replicas_added": 3}
+  ],
+  "elasticity_rows": [
+    {"fault": "gpu-loss", "requests": 500, "fault_time": 12.5, "plain_p99": 60, "plain_disrupted": 9, "plain_steps_degraded": 40, "plain_emergency_bytes": 7340032, "plain_recovery": 8.25, "repl_p99": 48, "repl_disrupted": 9, "repl_steps_degraded": 12, "repl_emergency_bytes": 0, "repl_recovery": 1.5, "repl_extra_copies": 6}
+  ],
+  "replan_latency_rows": [
+    {"preset": "MoE-GPT-XXL/512e-24L-top1", "experts": 512, "k": 1, "layers": 2, "windows": 4, "replans": 3, "max_moves": 40, "considered": 8000000, "evaluated_rebuild": 8000000, "evaluated_incremental": 1000000, "reused": 7000000, "scan_reduction": 8.000, "wall_ms_rebuild": 900.000, "wall_ms_incremental": 120.000, "cross_mass_rebuild": 0.05, "cross_mass_incremental": 0.05}
+  ],
+  "partial_replication_rows": [
+    {"scenario": "partial-repl/256e-top2", "experts": 256, "k": 2, "layers": 2, "units": 8, "windows": 3, "replica_slots": 4, "budget_bytes": 12582912, "partial_replans": 2, "replicas_added": 5, "partial_migrated_bytes": 6291456, "full_migrated_bytes": 9437184, "partial_extra_copies": 3, "full_extra_copies": 4, "partial_cross_mass": 0.041666666666666664, "full_cross_mass": 0.05, "realized_cross": 1234, "cc_replicas_added": 2, "cc_local_fraction": 0.875000}
+  ]
+}
+"#;
+
+    #[test]
+    fn to_json_prints_the_fixture_byte_for_byte() {
+        assert_eq!(fixture().to_json(), FIXTURE_JSON);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! assert_eq!(WindowEvent::from_json(&line).unwrap(), events[0]);
 //! ```
 
+use crate::flat_json::split_flat_object;
 use crate::report::ServingReport;
 
 /// Schema tag every emitted line carries; bump on any field change.
@@ -287,65 +288,6 @@ impl WindowEvent {
             gpus_up: list("gpus_up")?,
         })
     }
-}
-
-/// Split one flat JSON object (string/number/int-list values, no nesting,
-/// no escapes — exactly what `to_json` emits) into `(key, raw value)`
-/// pairs.
-fn split_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line}"))?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        let after_quote = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected a quoted key at: {rest}"))?;
-        let key_end = after_quote
-            .find('"')
-            .ok_or_else(|| format!("unterminated key at: {rest}"))?;
-        let key = &after_quote[..key_end];
-        let after_key = after_quote[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key {key:?}"))?
-            .trim_start();
-        // Value runs to the next top-level comma (never inside a string
-        // or a [...] list).
-        let mut depth = 0usize;
-        let mut in_str = false;
-        let mut end = after_key.len();
-        for (i, c) in after_key.char_indices() {
-            match c {
-                '"' => in_str = !in_str,
-                '[' if !in_str => depth += 1,
-                ']' if !in_str => {
-                    depth = depth
-                        .checked_sub(1)
-                        .ok_or_else(|| format!("unbalanced ']' in value of {key:?}"))?
-                }
-                ',' if !in_str && depth == 0 => {
-                    end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let value = after_key[..end].trim();
-        if value.is_empty() {
-            return Err(format!("empty value for key {key:?}"));
-        }
-        fields.push((key.to_string(), value.to_string()));
-        rest = if end == after_key.len() {
-            ""
-        } else {
-            after_key[end + 1..].trim_start()
-        };
-    }
-    Ok(fields)
 }
 
 /// Emit the whole stream: one line per window, trailing newline included.

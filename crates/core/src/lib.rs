@@ -24,7 +24,7 @@
 //! quantities behind the paper's Figs. 6–10.
 //!
 //! Beyond the paper's offline setting, the engine also serves
-//! **non-stationary** traffic: [`InferenceEngine::run_online`] maintains a
+//! **non-stationary** traffic: a [`Scenario`] with a drift schedule maintains a
 //! decayed streaming affinity estimate of the live routing, detects drift
 //! against the estimate the current placement was solved for, and executes
 //! budgeted incremental re-placements (expert-weight migrations priced on
@@ -32,7 +32,7 @@
 //! [`OnlineConfig`] via `EngineConfig::online`.
 //!
 //! On top of that sits the **request-level serving front-end**
-//! ([`serving`]): [`InferenceEngine::run_serving`] drives a deterministic
+//! ([`serving`]): a [`Scenario`] with a serving config drives a deterministic
 //! discrete-event loop over a seeded arrival process
 //! (`exflow_model::arrival`), queues requests, assembles decode batches
 //! under a pluggable [`BatchPolicy`] with continuous batching, and reports
@@ -42,8 +42,7 @@
 //!
 //! All of these paths share one front door: [`Scenario`] names a run's
 //! mode plus its optional drift, serving, fault, and replication layers,
-//! and [`InferenceEngine::run_scenario`] dispatches it (the per-path
-//! `run_*` methods survive as deprecated wrappers). The serving loop also
+//! and [`InferenceEngine::run_scenario`] dispatches it. The serving loop also
 //! tolerates **fleet churn**: a seeded `exflow_model::FaultSchedule`
 //! injects GPU loss/rejoin events, losses fail over to replicas or
 //! trigger emergency restores, and the disruption lands in
@@ -76,6 +75,7 @@
 pub mod commvolume;
 pub mod engine;
 pub mod events;
+pub mod flat_json;
 pub mod frame;
 pub mod modes;
 pub mod report;

@@ -2,9 +2,8 @@
 //! run can vary — execution mode, drift schedule, serving front-end,
 //! fault schedule, starting replication plan — and
 //! [`InferenceEngine::run_scenario`] dispatches it to the right engine
-//! path. The legacy entry points (`run`, `run_online`,
-//! `run_with_replication`, `run_serving`) survive as thin deprecated
-//! wrappers over the same implementations.
+//! path. It is the only public entry point for engine-chosen placements;
+//! `InferenceEngine::run_with_placement` runs an explicit one.
 //!
 //! Composition rules:
 //!
@@ -222,7 +221,7 @@ impl InferenceEngine {
         if let Some(plan) = &scenario.replication {
             return ScenarioReport::Offline(self.run_with_replication_impl(mode, plan));
         }
-        ScenarioReport::Offline(self.run_offline_impl(mode))
+        ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))
     }
 }
 
@@ -264,52 +263,13 @@ mod tests {
     }
 
     #[test]
-    fn offline_scenario_matches_the_legacy_entry_point() {
-        let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let via_scenario = eng.run_scenario(&Scenario::offline(mode));
-        #[allow(deprecated)]
-        let legacy = eng.run(mode);
-        assert_eq!(via_scenario.offline().unwrap(), &legacy);
-        assert!(via_scenario.online().is_none());
-        assert!(via_scenario.serving().is_none());
-    }
-
-    #[test]
-    fn drift_scenario_matches_run_online() {
-        let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, 4);
-        let via_scenario = eng.run_scenario(&Scenario::offline(mode).with_drift(drift.clone()));
-        #[allow(deprecated)]
-        let legacy = eng.run_online(mode, &drift);
-        assert_eq!(via_scenario.online().unwrap(), &legacy);
-    }
-
-    #[test]
-    fn serving_scenario_matches_run_serving() {
-        let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, 4);
-        let cfg = serving_cfg(&eng, mode);
-        let via_scenario = eng.run_scenario(
-            &Scenario::offline(mode)
-                .with_drift(drift.clone())
-                .with_serving(cfg.clone()),
-        );
-        #[allow(deprecated)]
-        let legacy = eng.run_serving(mode, &drift, &cfg);
-        assert_eq!(via_scenario.serving().unwrap(), &legacy);
-    }
-
-    #[test]
     fn serving_without_drift_serves_stationary_traffic() {
         let eng = engine();
         let mode = ParallelismMode::ContextCoherentAffinity;
         let cfg = serving_cfg(&eng, mode);
-        let r = eng
-            .run_scenario(&Scenario::offline(mode).with_serving(cfg.clone()))
-            .expect_serving();
+        let report = eng.run_scenario(&Scenario::offline(mode).with_serving(cfg.clone()));
+        assert!(report.offline().is_none() && report.online().is_none());
+        let r = report.expect_serving();
         assert_eq!(r.n_requests(), cfg.n_requests);
         assert!(r.replans.is_empty(), "stationary traffic never re-plans");
     }
@@ -322,17 +282,5 @@ mod tests {
         let _ = eng.run_scenario(
             &Scenario::offline(ParallelismMode::ContextCoherentAffinity).with_faults(faults),
         );
-    }
-
-    #[test]
-    fn replication_scenario_matches_run_with_replication() {
-        let eng = engine();
-        let mode = ParallelismMode::Vanilla;
-        let plan = ReplicationPlan::bare(eng.placement_for(mode).clone());
-        let via_scenario =
-            eng.run_scenario(&Scenario::offline(mode).with_replication(plan.clone()));
-        #[allow(deprecated)]
-        let legacy = eng.run_with_replication(mode, &plan);
-        assert_eq!(via_scenario.offline().unwrap(), &legacy);
     }
 }

@@ -1,6 +1,6 @@
 //! Request arrival processes for the serving front-end.
 //!
-//! The online mode (`exflow-core`'s `run_online`) consumes pre-aggregated
+//! The windowed online mode (`exflow-core`'s drift scenarios) consumes pre-aggregated
 //! windows of traffic; a production deployment instead sees *requests*
 //! arriving over time. This module provides the three arrival patterns the
 //! serving simulator exercises — homogeneous Poisson traffic, a diurnal
